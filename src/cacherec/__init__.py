@@ -7,7 +7,13 @@ It provides the request-chain model, exact and iterative stationary
 solves, a myopic per-row LP policy, an alternating augmented-Lagrangian
 stationary-cost policy, dataset preparation, a Monte-Carlo session
 simulator, and a reproducible experiment sweep driver.
+
+Solver warnings, such as a subproblem stopped at its iteration cap, go to
+the ``cacherec`` logger, which carries only a `logging.NullHandler`:
+configure logging (for example ``logging.basicConfig()``) to see them.
 """
+
+import logging
 
 from .datasets import (
     RatingsTable,
@@ -96,6 +102,8 @@ from .simulate import (
 )
 
 __version__ = "1.0.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

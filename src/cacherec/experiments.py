@@ -45,7 +45,7 @@ __all__ = [
     "TRACE_COLUMNS",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CANONICAL_POLICIES = ("norec", "myopic", "cars")
 RESULT_COLUMNS = (
     "schema_version",
@@ -62,6 +62,7 @@ RESULT_COLUMNS = (
     "empirical_chr",
     "mean_quality",
     "iterations",
+    "converged",
     "wall_millis",
     "seed",
     "error",
@@ -270,6 +271,7 @@ def _blank_row(cfg: ScenarioConfig, pt: _GridPoint, policy: str) -> dict:
         "empirical_chr": None,
         "mean_quality": None,
         "iterations": None,
+        "converged": None,
         "wall_millis": None,
         "seed": _row_seed(cfg, pt.index, policy),
         "error": "",
@@ -310,6 +312,7 @@ def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> di
                     raise RuntimeError(result.message)
                 y = result.best_y
                 iterations = result.iterations
+                row["converged"] = result.converged
             analytic = cache_hit_ratio(y, model, cache.cached)
 
         sim_cfg = replace(cfg.session, seed=row["seed"])

@@ -6,9 +6,13 @@ solved exactly by a parametric greedy with bisection on the quality
 multiplier. The stationary policy (`cars_solve`) minimizes the long-run
 cost by alternating convex minimizations of an augmented Lagrangian in
 which the stationarity condition of the request chain enters as a
-penalized equality residual.
+penalized equality residual. Its distribution step is a QP over the
+probability simplex, solved by `solve_qp`; its recommendation step is
+solved row by row, each row an exact projection onto its polytope with
+the quality floor.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +25,7 @@ from .model import (
     SimilarityMatrix,
     StationaryVector,
 )
-from .qp import INFEASIBLE, QpProblem, solve_qp
-from .qp import _threshold_rows
+from .qp import INFEASIBLE, MAXITER, QpProblem, _project_capped, solve_qp
 
 __all__ = [
     "OptimInputs",
@@ -38,6 +41,14 @@ __all__ = [
     "cars_solve",
     "select_best",
 ]
+
+
+_log = logging.getLogger("cacherec")
+
+# Budget of the recommendation step: sweeps of the row block descent, and
+# Newton steps on one row's floor multiplier.
+_Y_SWEEPS = 4
+_ROW_NEWTON_STEPS = 16
 
 
 class InfeasibleQualityError(ValueError):
@@ -282,51 +293,61 @@ def cars_pi_step(
     sol = solve_qp(problem, tol=tol, max_iter=max_iter, x0=p0 if x0 is None else x0)
     if sol.status == INFEASIBLE:
         raise RuntimeError(f"stationary-step subproblem infeasible: {sol.message}")
+    if sol.status == MAXITER:
+        _log.warning("stationary step: %s", sol.message)
     pi = StationaryVector(sol.point)
     return (pi, sol) if return_solution else pi
 
 
-def _quality_row_prox(w, u_row, q_floor, lower, upper, kappa):
-    """Minimize ``(kappa/2)||y - w||^2`` over the capped row polytope with
-    a quality floor, returning the row and its floor multiplier.
+def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
+    """Exact Euclidean projection of ``w`` onto one row's feasible set
+    ``{y : sum y = 1, 0 <= y <= upper, u_row . y >= q_floor}``.
 
-    The unconstrained-floor solution is the plain sum/box projection; when
-    it misses the floor the shifted projection ``y = proj(w + sigma u)``
-    is steered by a few bracketed Newton steps on the nondecreasing map
-    ``sigma -> u . y``, and the bracket endpoints are blended to land
-    exactly on the floor. The multiplier is ``kappa sigma``. This is a
-    warm-start device, so a tight budget beats exactness.
+    This is the row solver of the recommendation step. When the plain
+    sum/box projection misses the floor, the KKT conditions give
+    ``y = proj(w + sigma u_row)`` for the floor multiplier ``sigma > 0``
+    at which the floor holds with equality. The map
+    ``sigma -> u_row . proj(w + sigma u_row)`` is nondecreasing and
+    piecewise linear, so bracketed Newton steps (bisection whenever a
+    step leaves the bracket) land on its root exactly once they reach the
+    root's linear piece. Should the budget run out first, the bracket
+    endpoints are blended to land on the floor. A positive `sigma0`, such
+    as the row's multiplier in the previous sweep, is the first Newton
+    point. Returns the row and its floor multiplier.
     """
-    one = np.array([1.0])
-    y, tau = _threshold_rows(w[None, :], one, lower, upper)
-    got = float(u_row @ y[0])
-    if got >= q_floor - 1e-12 or kappa <= 0.0:
-        return y[0], 0.0
+    y = _project_capped(w, upper)
+    got = float(u_row @ y)
+    if got >= q_floor - 1e-12:
+        return y, 0.0
 
-    def free_slope(yr):
-        f = (yr > lower[0]) & (yr < upper[0])
-        m = int(f.sum())
+    def slope(yr):
+        # d(u . y)/d sigma on the current piece: u's spread over the free set
+        f = (yr > 0.0) & (yr < upper)
+        m = int(np.count_nonzero(f))
         if m == 0:
             return 0.0
         uf = u_row[f]
         return max(float(uf @ uf) - float(uf.sum()) ** 2 / m, 0.0)
 
-    spread = float(np.ptp(w)) + float(upper[0].max()) + 1.0
+    spread = float(np.ptp(w)) + float(upper.max()) + 1.0
+    land = 1e-12 * max(1.0, abs(q_floor))
     sg_lo, sg_hi = 0.0, None
-    y_lo = y[0]
-    y_hi = None
-    sl = free_slope(y[0])
-    sg = (q_floor - got) / sl if sl > 1e-9 else 1e-3 * spread
-    for _ in range(16):
-        y2, tau = _threshold_rows((w + sg * u_row)[None, :], one, lower, upper, tau0=tau)
-        got2 = float(u_row @ y2[0])
-        if abs(got2 - q_floor) <= 1e-10 * max(1.0, abs(q_floor)):
-            return y2[0], kappa * sg
+    y_lo, y_hi = y, None
+    if sigma0 > 0.0:
+        sg = sigma0
+    else:
+        sl = slope(y)
+        sg = (q_floor - got) / sl if sl > 1e-12 else 1e-3 * spread
+    for _ in range(_ROW_NEWTON_STEPS):
+        y2 = _project_capped(w + sg * u_row, upper)
+        got2 = float(u_row @ y2)
+        if abs(got2 - q_floor) <= land:
+            return y2, sg
         if got2 < q_floor:
-            sg_lo, y_lo = sg, y2[0]
+            sg_lo, y_lo = sg, y2
         else:
-            sg_hi, y_hi = sg, y2[0]
-        sl = free_slope(y2[0])
+            sg_hi, y_hi = sg, y2
+        sl = slope(y2)
         prop = sg + (q_floor - got2) / sl if sl > 1e-12 else None
         if sg_hi is None:
             sg = prop if (prop is not None and prop > sg) else 4.0 * sg + 1e-3 * spread
@@ -337,79 +358,74 @@ def _quality_row_prox(w, u_row, q_floor, lower, upper, kappa):
     if y_hi is None:
         # quality is flat over the tried shifts; fall back to the greedy
         # maximal-quality row, the exact maximizer under box and sum
-        free_cap = upper[0] - lower[0]
-        budget = 1.0 - float(lower[0].sum())
-        y_hi = np.array(lower[0])
+        budget = 1.0
+        sg_hi = sg
+        y_hi = np.zeros_like(w)
         for j in np.argsort(-u_row):
-            give = min(free_cap[j], budget)
-            y_hi[j] += give
+            give = min(upper[j], budget)
+            y_hi[j] = give
             budget -= give
             if budget <= 0.0:
                 break
-        sg_hi = sg
     gl = float(u_row @ y_lo)
     gh = float(u_row @ y_hi)
     if gh - gl <= 0.0 or gh < q_floor:
-        return y_hi, kappa * sg_hi  # floor out of reach; best attainable row
+        return y_hi, sg_hi  # floor out of reach; best attainable row
     gamma = min(max((q_floor - gl) / (gh - gl), 0.0), 1.0)
-    blend = (1.0 - gamma) * y_lo + gamma * y_hi
-    return blend, kappa * (sg_lo + gamma * (sg_hi - sg_lo))
+    return (1.0 - gamma) * y_lo + gamma * y_hi, sg_lo + gamma * (sg_hi - sg_lo)
 
 
-def _y_block_descent(y, pv, s_star, u, qv, cap, coef, max_sweeps=4, tol=1e-9):
+def _y_block_descent(y, pv, s_star, u, qv, cap, tol=1e-9):
     """Exact cyclic minimization of the recommendation subproblem.
 
-    The penalized objective depends on Y only through ``s = Y^T pi``, so
-    with the other rows held fixed each row solves a spherical prox over
-    its own polytope, which `_quality_row_prox` does in closed form. Rows
-    with vanishing stationary mass do not move the objective and keep
-    their warm-start values. Returns the improved matrix and the per-row
-    quality multipliers for seeding the dual ascent.
+    The penalized objective is ``(a^2 rho / 2) ||Y^T pi - s_star||^2``: it
+    depends on Y only through ``s = Y^T pi``. With the other rows held
+    fixed, row i therefore solves a Euclidean projection of
+    ``(s_star - s + pi_i y_i) / pi_i`` onto its own polytope, which
+    `_quality_row_prox` computes exactly. Rows are visited in order of
+    decreasing stationary mass; rows with vanishing mass do not move the
+    objective and keep their starting values. Sweeps stop once no entry
+    moves by more than `tol`, or after `_Y_SWEEPS` sweeps with a warning.
+    Updates `y` in place and returns it.
     """
     k = pv.size
-    y = np.array(y, dtype=float, copy=True)
-    theta = np.zeros(k)
     s = y.T @ pv
     eps_pv = 1e-12 * float(pv.max(initial=0.0))
-    order = np.argsort(-pv)
-    lo = np.zeros((1, k))
-    for _ in range(max_sweeps):
+    rows = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
+    upper = np.full(k, cap)
+    sigma = np.zeros(k)
+    delta = 0.0
+    for _ in range(_Y_SWEEPS):
         delta = 0.0
-        for i in order:
+        for i in rows:
             p_i = pv[i]
-            if p_i <= eps_pv:
-                break
             rest = s - p_i * y[i]
-            w = (s_star - rest) / p_i
-            hi = np.full((1, k), cap)
-            hi[0, i] = 0.0
-            row, th = _quality_row_prox(w, u[i], qv[i], lo, hi, coef * p_i * p_i)
-            theta[i] = th
+            upper[i] = 0.0
+            row, sigma[i] = _quality_row_prox(
+                (s_star - rest) / p_i, u[i], qv[i], upper, sigma[i]
+            )
+            upper[i] = cap
             delta = max(delta, float(np.abs(row - y[i]).max()))
             s = rest + p_i * row
             y[i] = row
         if delta <= tol:
-            break
-    return y, theta
+            return y
+    _log.warning(
+        "recommendation step: block descent stopped after %d sweeps, "
+        "largest entry change %.3e > %.1e", _Y_SWEEPS, delta, tol,
+    )
+    return y
 
 
-def cars_y_step(
-    pi,
-    lam,
-    rho: float,
-    inputs: OptimInputs,
-    y0=None,
-    mu0=None,
-    tol: float = 1e-7,
-    max_iter: int = 50000,
-    return_solution: bool = False,
-):
+def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     """Minimize the penalized objective over the recommendation polytope.
 
-    With pi fixed the residual is affine in Y and couples entries
-    column-wise (per-column quadratic blocks ``a^2 rho pi pi^T``), while
-    the constraints act row-wise: row sums, box, zero diagonal, and the
-    per-row quality floors handled by dual ascent inside the solver.
+    With pi fixed the penalized objective is ``(a^2 rho / 2)
+    ||Y^T pi - s_star||^2`` with ``s_star = (lam + rho r) / (a rho)`` and
+    ``r = pi - (1-a) p0``; the constraints act row-wise (row sums, box,
+    zero diagonal, per-row quality floors). `_y_block_descent` minimizes
+    it row by row from `y0` (default: the top-N similarity matrix). When
+    ``a^2 rho`` vanishes the objective is constant and `y0` is returned.
     """
     pv = np.asarray(pi, dtype=float)
     u = np.asarray(inputs.similarity, dtype=float)
@@ -418,58 +434,16 @@ def cars_y_step(
     n = inputs.model.list_size
     q = inputs.quality
     lv = np.asarray(lam, dtype=float)
-    k = pv.size
 
-    r = pv - (1.0 - a) * p0
-    lin = (-a) * np.outer(pv, lv + rho * r).ravel()
-    coef = a * a * rho
+    ym = np.asarray(top_n_similarity(inputs) if y0 is None else y0, dtype=float).copy()
+    if a * a * rho > 0.0:
+        s_star = (lv + rho * (pv - (1.0 - a) * p0)) / (a * rho)
+        ym = _y_block_descent(ym, pv, s_star, u, q, 1.0 / n)
 
-    def qmv(v):
-        vm = v.reshape(k, k)
-        return coef * np.outer(pv, pv @ vm).ravel()
-
-    def gmv(v):
-        return (u * v.reshape(k, k)).sum(axis=1)
-
-    def grmv(w):
-        return (u * w[:, None]).ravel()
-
-    lower = np.zeros(k * k)
-    upper = np.full(k * k, 1.0 / n)
-    diag = np.arange(k) * (k + 1)
-    upper[diag] = 0.0
-    groups = [np.arange(i * k, (i + 1) * k) for i in range(k)]
-    problem = QpProblem(
-        linear=lin,
-        quadratic=qmv,
-        groups=groups,
-        group_targets=np.ones(k),
-        lower=lower,
-        upper=upper,
-        inequalities=(gmv, grmv, q),
-    )
-    if y0 is None:
-        y0 = top_n_similarity(inputs)
-    x_start = np.asarray(y0, dtype=float)
-    mu_start = mu0
-    if coef > 0.0:
-        # an exact cyclic pass over the rows lands next to the optimum
-        # and hands the dual ascent its quality multipliers
-        s_star = (lv + rho * r) / (a * rho)
-        x_start, mu_start = _y_block_descent(
-            x_start, pv, s_star, u, np.asarray(q, dtype=float), 1.0 / n, coef,
-        )
-    sol = solve_qp(
-        problem, tol=tol, max_iter=max_iter,
-        x0=x_start.ravel(), mu0=mu_start,
-    )
-    if sol.status == INFEASIBLE:
-        raise RuntimeError(f"recommendation-step subproblem infeasible: {sol.message}")
-    ym = sol.point.reshape(k, k)
-
-    # Restore any quality floor the dual ascent left marginally violated:
-    # blend toward the quality-maximal row, which lands exactly on the floor
-    # and stays inside the row polytope.
+    # Restore any quality floor left marginally violated (a starting row the
+    # descent did not visit, or a blended row): blend toward the
+    # quality-maximal row, which lands exactly on the floor and stays inside
+    # the row polytope.
     got = (u * ym).sum(axis=1)
     short = np.flatnonzero(got < q - 1e-6)
     if short.size:
@@ -479,8 +453,7 @@ def cars_y_step(
             theta = (q[i] - got[i]) / (g_top[i] - got[i])
             ym[i] = (1.0 - theta) * ym[i] + theta * y_top[i]
 
-    rec = RecMatrix(ym, n)
-    return (rec, sol) if return_solution else rec
+    return RecMatrix(ym, n)
 
 
 @dataclass
@@ -494,6 +467,8 @@ class CarsConfig:
     acc2: float = 1e-5
     max_iter: int = 30
     multiplier_step: float = 0.5  # factor on rho in the dual update; 1.0 is the textbook step
+    # tolerance and step cap of the stationary-step QP (`cars_pi_step`);
+    # the recommendation step is solved exactly and takes neither
     subproblem_tol: float = 1e-6
     subproblem_max_iter: int = 8000
 
@@ -564,7 +539,6 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     lambda_trace = [float(np.linalg.norm(lam))]
     best_y, best_cost, best_idx = y, cost0, 0
     pi_warm = np.asarray(pi_exact, dtype=float)
-    mu_warm = None
     converged = False
     message = ""
 
@@ -574,11 +548,7 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
                 y, lam, cfg.rho, inputs, x0=pi_warm,
                 tol=cfg.subproblem_tol, max_iter=cfg.subproblem_max_iter,
             )
-            y_next, sol = cars_y_step(
-                pi_i, lam, cfg.rho, inputs, y0=y, mu0=mu_warm,
-                tol=cfg.subproblem_tol, max_iter=cfg.subproblem_max_iter,
-                return_solution=True,
-            )
+            y_next = cars_y_step(pi_i, lam, cfg.rho, inputs, y0=y)
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             message = f"subproblem failed at iteration {i}: {exc}"
             break
@@ -595,7 +565,6 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
             best_y, best_cost, best_idx = y_next, cost_i, i
         y = y_next
         pi_warm = np.asarray(pi_i, dtype=float)
-        mu_warm = sol.multipliers
         if eps1 <= cfg.acc1 and eps2 <= cfg.acc2:
             converged = True
             break

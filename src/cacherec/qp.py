@@ -11,7 +11,8 @@ of the quadratic operator norm and is halved whenever the objective
 increases.
 
 The exact projections (`project_simplex`, `project_row_polytope`) are
-exposed on their own; both are reused by the optimizers.
+exposed on their own; the sort-based row projection behind the latter is
+also the recommendation step's row solver in `cacherec.optim`.
 """
 
 from dataclasses import dataclass
@@ -154,10 +155,43 @@ def _threshold_rows(
     return x, tau
 
 
+def _project_capped(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Exact projection of ``v`` onto ``{y : sum y = 1, 0 <= y <= upper}``.
+
+    The projection is ``clip(v - tau, 0, upper)`` for the shift ``tau`` at
+    which the clipped sum ``S(tau)`` equals 1. S is continuous, piecewise
+    linear and nonincreasing, with breakpoints at ``v_j`` and
+    ``v_j - upper_j``. As in the capped-simplex projection of Wang & Lu
+    (arXiv:1503.01002), one sort of the breakpoints evaluates S at all of
+    them; the root lies on the linear piece after the last breakpoint with
+    ``S >= 1`` and is solved there in closed form. Needs ``sum(upper) >= 1``.
+    """
+    k = v.size
+    # the projection commutes with shifting v, and the sums below lose
+    # precision with the magnitude of v: measure from its largest entry
+    v = v - v.max()
+    t = np.concatenate((v, v - upper))
+    order = np.argsort(t)
+    ts = t[order]
+    at_cap = order >= k
+    # S(t) = sum_{v_j > t} (v_j - t) - sum_{v_j - upper_j > t} (v_j - upper_j - t).
+    # A breakpoint equal to t adds zero to either sum, so ties may sort in any
+    # order. The sums over larger breakpoints accumulate from the top, where
+    # the entries are small.
+    n_cap = np.cumsum(at_cap)
+    n_low = np.arange(1, 2 * k + 1) - n_cap
+    above = np.cumsum(np.where(at_cap, -ts, ts)[::-1])[::-1]
+    s = np.append(above[1:], 0.0) - (n_cap - n_low) * ts
+    j = max(int(np.count_nonzero(s >= 1.0)) - 1, 0)
+    free = int(n_cap[j] - n_low[j])
+    tau = ts[j] + (s[j] - 1.0) / free if free > 0 else ts[j]
+    return np.minimum(np.maximum(v - tau, 0.0), upper)
+
+
 def project_row_polytope(v, list_size: int, self_idx: int) -> np.ndarray:
     """Project a row onto ``{y : sum y = 1, 0 <= y <= 1/N, y[self_idx] = 0}``.
 
-    Exact threshold search on the sum-constraint shift; the pinned
+    Exact sort-based search for the sum-constraint shift; the pinned
     coordinate is handled as a zero-width box.
     """
     v = np.asarray(v, dtype=float)
@@ -173,10 +207,9 @@ def project_row_polytope(v, list_size: int, self_idx: int) -> np.ndarray:
         raise InfeasiblePolytopeError(
             f"row polytope is empty: need (K-1)/N >= 1, got K={k}, N={n}"
         )
-    lower = np.zeros((1, k))
-    upper = np.full((1, k), 1.0 / n)
-    upper[0, self_idx] = 0.0
-    return _threshold_rows(v[None, :], np.array([1.0]), lower, upper)[0][0]
+    upper = np.full(k, 1.0 / n)
+    upper[self_idx] = 0.0
+    return _project_capped(v, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +231,6 @@ class QpProblem:
         Disjoint coordinate groups, each carrying one sum constraint.
     group_targets : ndarray, optional
         Required sum per group.
-    equalities : (A, b), optional
-        General affine equalities, enforced by dual ascent (no exact
-        projection exists jointly with the box).
     lower, upper : float or ndarray
         Box bounds, broadcast to the variable size.
     inequalities : (G, h) or (matvec, rmatvec, h), optional
@@ -211,7 +241,6 @@ class QpProblem:
     quadratic: object = None
     groups: object = None
     group_targets: object = None
-    equalities: object = None
     lower: object = -np.inf
     upper: object = np.inf
     inequalities: object = None
@@ -264,7 +293,6 @@ class QpSolution:
     stationarity_residual: float = np.nan
     complementarity_residual: float = np.nan
     multipliers: np.ndarray | None = None
-    eq_multipliers: np.ndarray | None = None
     message: str = ""
 
 
@@ -395,15 +423,14 @@ def solve_qp(
     tol: float = 1e-7,
     max_iter: int = 50000,
     x0: np.ndarray | None = None,
-    mu0: np.ndarray | None = None,
     trace=None,
 ) -> QpSolution:
     """Solve the QP/LP by projected accelerated gradient plus dual ascent.
 
     Box and group-sum constraints are enforced exactly at every iterate
-    through the projection; general inequalities (and general equalities)
-    enter an augmented Lagrangian whose multipliers are updated by dual
-    ascent whenever the inner minimization has converged far enough.
+    through the projection; general inequalities enter an augmented
+    Lagrangian whose multipliers are updated by dual ascent whenever the
+    inner minimization has converged far enough.
 
     Parameters
     ----------
@@ -413,8 +440,8 @@ def solve_qp(
         stationarity and complementarity parts).
     max_iter : int
         Global cap on gradient steps, counting rejected ones.
-    x0, mu0 : ndarray, optional
-        Warm starts for the point and the inequality multipliers.
+    x0 : ndarray, optional
+        Warm start for the point.
     trace : path or file-like, optional
         When given, convergence checkpoints are streamed as CSV rows
         ``iteration,objective,primal_residual``.
@@ -430,10 +457,6 @@ def solve_qp(
     n = c.size
     qmv = _as_matvec(problem.quadratic)
     gmv, grmv, h = _ineq_maps(problem.inequalities)
-    amat = bmat = None
-    if problem.equalities is not None:
-        amat = np.asarray(problem.equalities[0], dtype=float)
-        bmat = np.asarray(problem.equalities[1], dtype=float)
 
     try:
         proj = _Projector(n, problem.groups, problem.group_targets, problem.lower, problem.upper)
@@ -445,17 +468,12 @@ def solve_qp(
 
     x = proj(np.clip(np.zeros(n), proj.lower, proj.upper) if x0 is None else np.asarray(x0, dtype=float))
     mu = np.zeros(h.size) if h is not None else None
-    if mu0 is not None and h is not None:
-        mu = np.maximum(np.asarray(mu0, dtype=float).copy(), 0.0)
-    nu = np.zeros(bmat.size) if bmat is not None else None
 
     # Step sizing from operator-norm estimates of each smooth piece.
     lq = _op_norm(qmv, n) if qmv is not None else 0.0
     lg = _op_norm(lambda v: grmv(gmv(v)), n) if h is not None else 0.0
-    la = _op_norm(lambda v: amat.T @ (amat @ v), n) if amat is not None else 0.0
     beta = max(1.0, lq) / lg if (h is not None and lg > 0.0) else 0.0
-    beta_a = max(1.0, lq) / la if (amat is not None and la > 0.0) else 0.0
-    lips = lq + beta * lg + beta_a * la
+    lips = lq + beta * lg
     if lips > 0.0:
         step = 1.0 / lips
         momentum = True
@@ -491,12 +509,6 @@ def solve_qp(
             f += (float(act @ act) - float(mu @ mu)) / (2.0 * beta)
             if want_grad:
                 g -= grmv(act)
-        if nu is not None:
-            r = amat @ v - bmat
-            w = nu + beta_a * r
-            f += (float(w @ w) - float(nu @ nu)) / (2.0 * beta_a)
-            if want_grad:
-                g += amat.T @ w
         return f, g
 
     def objective(v):
@@ -517,9 +529,6 @@ def solve_qp(
             g -= grmv(mu)
             primal = max(primal, float(np.maximum(h - gmv(v), 0.0).max(initial=0.0)))
             comp = float(np.abs(mu * s).max(initial=0.0))
-        if nu is not None:
-            g += amat.T @ nu
-            primal = max(primal, float(np.abs(amat @ v - bmat).max(initial=0.0)))
         tau = min(step, 1.0)
         stat = float(np.abs(v - proj(v - tau * g)).max()) / tau
         return stat, primal, comp
@@ -532,33 +541,23 @@ def solve_qp(
         constraints, which converges to zero iff the full set intersects
         the box/group polytope.
         """
-        rate = 1.0 / max(lg + la, 1e-12)
+        rate = 1.0 / max(lg, 1e-12)
 
         def viol_of(w):
-            worst = 0.0
-            if h is not None:
-                worst = max(worst, float(np.maximum(h - gmv(w), 0.0).max(initial=0.0)))
-            if bmat is not None:
-                worst = max(worst, float(np.abs(amat @ w - bmat).max(initial=0.0)))
-            return worst
+            return float(np.maximum(h - gmv(w), 0.0).max(initial=0.0))
 
         v = v0.copy()
         best_v, best_viol = v.copy(), viol_of(v)
         used = 0
         while used < budget and best_viol > target:
-            g = np.zeros_like(v)
-            if h is not None:
-                g += grmv(np.minimum(gmv(v) - h, 0.0))
-            if bmat is not None:
-                g += amat.T @ (amat @ v - bmat)
-            v = proj(v - rate * g)
+            v = proj(v - rate * grmv(np.minimum(gmv(v) - h, 0.0)))
             used += 1
             w = viol_of(v)
             if w < best_viol:
                 best_viol, best_v = w, v.copy()
         return best_v, best_viol, used
 
-    has_duals = h is not None or nu is not None
+    has_duals = h is not None
     inner_cap = 400 if has_duals else max_iter
     beta_cap = beta * 1e8 if beta > 0 else 0.0
 
@@ -615,8 +614,6 @@ def solve_qp(
         if h is not None:
             s = gmv(x) - h
             mu = np.maximum(mu - beta * s, 0.0)
-        if nu is not None:
-            nu = nu + beta_a * (amat @ x - bmat)
         f_cur, _ = smooth(x, want_grad=False)
 
         stat, primal, comp = kkt(x)
@@ -641,7 +638,7 @@ def solve_qp(
             # multiplies the smooth Lipschitz constant.
             if beta > 0 and beta < beta_cap:
                 beta *= 2.0
-                lips = lq + beta * lg + beta_a * la
+                lips = lq + beta * lg
         if viol > 0.99 * viol_prev - 1e-16:
             stall_count += 1
         else:
@@ -688,6 +685,5 @@ def solve_qp(
         stationarity_residual=stat,
         complementarity_residual=comp,
         multipliers=None if mu is None else mu.copy(),
-        eq_multipliers=None if nu is None else nu.copy(),
         message=message,
     )

@@ -6,6 +6,8 @@ codes, emitted files, and stream output.
 
 import csv
 import json
+import re
+import shlex
 import sys
 import types
 from importlib.metadata import EntryPoint, entry_points
@@ -59,6 +61,24 @@ def read_pyproject():
     path = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(path, "rb") as fh:
         return tomllib.load(fh)
+
+
+def readme_cli_lines():
+    """Command lines of the README's CLI section, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if line[0].isspace() and lines:
+            lines[-1] += " " + line.strip()
+        else:
+            lines.append(line.strip())
+    return lines
+
+
+README_CLI_LINES = readme_cli_lines()
 
 
 def read_results(path):
@@ -314,6 +334,30 @@ class TestPrepDatasetCommand:
                  "--out", str(tmp_path / "o")]
             )
         assert exc.value.code == 1
+
+
+class TestReadme:
+    """The README's CLI section describes the parser that ships."""
+
+    def test_every_subcommand_shown(self):
+        shown = {shlex.split(line)[1] for line in README_CLI_LINES}
+        assert shown == {"run", "trace", "prep-dataset"}
+
+    @pytest.mark.parametrize(
+        "line", README_CLI_LINES,
+        ids=[f"{i}-{shlex.split(line)[1]}" for i, line in enumerate(README_CLI_LINES)],
+    )
+    def test_command_line_parses(self, line):
+        # optional arguments are shown in brackets; parse them too
+        argv = shlex.split(line.replace("[", " ").replace("]", " "))
+        assert argv[0] == "cacherec"
+        args = cli._build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+
+    def test_dataset_kinds_match_config(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = text.split("`dataset.kind` is one of", 1)[1].split("(", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == set(experiments._DATASET_KINDS)
 
 
 class TestParsing:

@@ -239,6 +239,19 @@ class TestRunExperiment:
         threaded = run_experiment(small_cfg(), threads=2)
         assert rows_without_wall(threaded) == rows_without_wall(base_rows)
 
+    def test_converged_column_carries_cars_result(self, monkeypatch):
+        seen = []
+        real = experiments.cars_solve
+
+        def spy(inputs, cfg):
+            result = real(inputs, cfg)
+            seen.append(result.converged)
+            return result
+
+        monkeypatch.setattr(experiments, "cars_solve", spy)
+        rows = run_experiment(small_cfg())
+        assert [r["converged"] for r in rows] == [None, None, seen[0]]
+
     def test_solver_failure_becomes_error_row(self, monkeypatch):
         real = experiments.myopic_solve
 
@@ -271,6 +284,14 @@ class TestWriteResults:
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(RESULT_COLUMNS)
         assert len(lines) == len(rows) + 1
+
+    def test_converged_written_for_cars_only(self, tmp_path):
+        cfg = small_cfg(output_dir=str(tmp_path))
+        rows = run_experiment(cfg)
+        with open(tmp_path / "results.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["converged"] for r in records[:2]] == ["", ""]
+        assert records[2]["converged"] == str(rows[2]["converged"])
 
     def test_float_and_empty_formatting(self, tmp_path):
         cfg = small_cfg(policies=("norec",))

@@ -1,5 +1,7 @@
 """Tests for the myopic LP policy and the alternating stationary-cost solver."""
 
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,9 +26,16 @@ from cacherec import (
     top_n_similarity,
     validate_rec_matrix,
 )
+from cacherec.optim import _quality_row_prox
 from cacherec.qp import QpProblem, solve_qp
 
-from oracles import best_deterministic_cost, row_lp_oracle, stationary_ref, transition_ref
+from oracles import (
+    best_deterministic_cost,
+    qp_oracle,
+    row_lp_oracle,
+    stationary_ref,
+    transition_ref,
+)
 
 
 def make_inputs(k, n, rng, q=0.0, a=0.8, density=0.9):
@@ -264,11 +273,106 @@ class TestCarsPiStep:
         )
 
 
+def binding_instance(rng, k, n):
+    """Dense instance whose floors sit at 90 % of the poorest row's best."""
+    probe = make_inputs(k, n, rng, q=0.0, density=1.0)
+    floor = 0.9 * float(probe.max_quality().min())
+    return OptimInputs(probe.similarity, probe.model, probe.cost, floor)
+
+
+def y_step_qp(pi, lam, rho, inputs):
+    """The recommendation step as a general QP over all K^2 entries."""
+    pv = np.asarray(pi, dtype=float)
+    u = np.asarray(inputs.similarity, dtype=float)
+    p0 = np.asarray(inputs.model.popularity, dtype=float)
+    a = inputs.model.follow_prob
+    n = inputs.model.list_size
+    k = pv.size
+    lin = -a * np.outer(pv, lam + rho * (pv - (1.0 - a) * p0)).ravel()
+    g = np.zeros((k, k * k))
+    for i in range(k):
+        g[i, i * k:(i + 1) * k] = u[i]
+    upper = np.full(k * k, 1.0 / n)
+    upper[:: k + 1] = 0.0
+    return QpProblem(
+        linear=lin,
+        quadratic=lambda v: (a * a * rho) * np.outer(pv, pv @ v.reshape(k, k)).ravel(),
+        groups=[np.arange(i * k, (i + 1) * k) for i in range(k)],
+        group_targets=np.ones(k),
+        lower=0.0,
+        upper=upper,
+        inequalities=(g, np.asarray(inputs.quality, dtype=float)),
+    )
+
+
+class TestQualityRowProx:
+    def test_matches_qp_oracle_with_binding_floor(self):
+        rng = np.random.default_rng(16)
+        for trial in range(24):
+            k = int(rng.integers(3, 8))
+            n = int(rng.integers(1, k))
+            i = int(rng.integers(k))
+            u = rng.uniform(0.0, 1.0, k)
+            u[i] = 0.0
+            upper = np.full(k, 1.0 / n)
+            upper[i] = 0.0
+            w = rng.normal(0.0, 1.0, k)
+            plain, sigma = _quality_row_prox(w, u, 0.0, upper)
+            assert sigma == 0.0
+            best = float(np.sort(u)[::-1][:n].sum()) / n
+            got = float(u @ plain)
+            if best - got < 1e-6:
+                continue
+            q = got + float(rng.uniform(0.1, 0.9)) * (best - got)
+            y, sigma = _quality_row_prox(w, u, q, upper)
+            ref_obj, _ = qp_oracle(
+                c=-w, quad=np.eye(k), a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
+                g=u[None, :], h=np.array([q]), lower=np.zeros(k), upper=upper,
+            )
+            obj = 0.5 * float(y @ y) - float(w @ y)
+            assert abs(obj - ref_obj) <= 1e-9, (trial, obj - ref_obj)
+            assert sigma > 0.0
+            assert abs(float(y.sum()) - 1.0) <= 1e-12
+            assert y.min() >= 0.0 and np.all(y <= upper)
+            assert float(u @ y) >= q - 1e-9
+
+
 class TestCarsYStep:
+    def test_no_worse_than_start_or_general_qp(self):
+        rng = np.random.default_rng(17)
+        for trial in range(4):
+            k = int(rng.integers(6, 11))
+            inp = binding_instance(rng, k, 2)
+            pi = rng.uniform(0.2, 1.0, k)
+            pi /= pi.sum()
+            lam = rng.normal(0.0, 0.5, k)
+            rho = float(rng.uniform(0.5, 4.0))
+            y0 = top_n_similarity(inp)
+            y = cars_y_step(pi, lam, rho, inp, y0)
+            ref = solve_qp(y_step_qp(pi, lam, rho, inp), tol=1e-9, max_iter=4000)
+            f = augmented_lagrangian(pi, y, lam, rho, inp)
+            f0 = augmented_lagrangian(pi, y0, lam, rho, inp)
+            f_ref = augmented_lagrangian(pi, ref.point.reshape(k, k), lam, rho, inp)
+            assert f <= f0 + 1e-12, trial
+            assert f <= f_ref + 1e-7, (trial, f - f_ref)
+            at_floor = np.abs(quality_of(y, inp.similarity) - inp.quality) <= 1e-9
+            assert at_floor.any(), trial
+
+    def test_output_feasible(self):
+        rng = np.random.default_rng(18)
+        for trial in range(10):
+            k = int(rng.integers(4, 12))
+            n = int(rng.integers(1, 3))
+            inp = binding_instance(rng, k, n)
+            pi = rng.uniform(0.0, 1.0, k)
+            pi[rng.uniform(size=k) < 0.3] = 0.0  # rows without mass keep y0
+            pi /= pi.sum()
+            y = cars_y_step(pi, rng.normal(0.0, 1.0, k), float(rng.uniform(0.1, 5.0)), inp)
+            assert validate_rec_matrix(y, 1e-9) == [], trial
+            assert np.all(quality_of(y, inp.similarity) >= inp.quality - 1e-6), trial
+
     def test_single_support_matches_reduced_problem(self):
         rng = np.random.default_rng(10)
-        from oracles import qp_oracle
-
         for trial in range(5):
             k, n = 5, 2
             inp = make_inputs(k, n, rng, q=0.35, density=1.0)
@@ -311,6 +415,35 @@ class TestCarsYStep:
         inp = OptimInputs(SimilarityMatrix(u), model, np.array([1.0, 0.0]), 0.2)
         y = cars_y_step(np.array([0.9, 0.1]), np.array([0.3, -0.1]), 3.0, inp)
         npt.assert_allclose(np.asarray(y), [[0.0, 1.0], [1.0, 0.0]], atol=1e-7)
+
+
+class TestSolverWarnings:
+    def test_logger_silent_by_default(self):
+        handlers = logging.getLogger("cacherec").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_pi_step_at_step_cap_warns(self, caplog):
+        inp = make_inputs(5, 2, np.random.default_rng(19), q=0.0)
+        y = myopic_solve(inp)
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            cars_pi_step(y, np.zeros(5), 1e6, inp, max_iter=2)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "stationary step" in caplog.records[0].getMessage()
+
+    def test_y_step_warns_only_at_sweep_cap(self, caplog):
+        rng = np.random.default_rng(20)
+        inp = binding_instance(rng, 8, 2)
+        lam = rng.normal(0.0, 0.5, 8)
+        single = np.zeros(8)
+        single[3] = 1.0  # one row to visit: the second sweep moves nothing
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            cars_y_step(single, lam, 2.0, inp)
+        assert caplog.records == []
+        full = rng.uniform(0.2, 1.0, 8)
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            cars_y_step(full / full.sum(), lam, 2.0, inp)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "block descent stopped" in caplog.records[0].getMessage()
 
 
 class TestSelectBest:
