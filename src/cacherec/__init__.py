@@ -26,7 +26,6 @@ from .datasets import (
     load_movielens_csv,
     prepare_lastfm,
     prepare_movielens,
-    prune,
     symmetrize_max,
     synthetic_similarity,
     zipf_popularity,
@@ -48,7 +47,6 @@ from .markov import (
     stationary_power,
 )
 from .model import (
-    Catalog,
     CostVector,
     PopularityVector,
     RecMatrix,
@@ -73,7 +71,6 @@ from .optim import (
     top_n_similarity,
 )
 from .qp import (
-    INFEASIBLE,
     MAXITER,
     OPTIMAL,
     InfeasiblePolytopeError,
@@ -108,7 +105,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __all__ = [
     "__version__",
     # model
-    "Catalog",
     "SimilarityMatrix",
     "PopularityVector",
     "CostVector",
@@ -134,7 +130,6 @@ __all__ = [
     "project_row_polytope",
     "OPTIMAL",
     "MAXITER",
-    "INFEASIBLE",
     # optim
     "OptimInputs",
     "CarsConfig",
@@ -155,7 +150,6 @@ __all__ = [
     "cosine_similarity",
     "symmetrize_max",
     "binarize",
-    "prune",
     "synthetic_similarity",
     "anchored_similarity",
     "zipf_popularity",

@@ -21,7 +21,6 @@ __all__ = [
     "cosine_similarity",
     "binarize",
     "symmetrize_max",
-    "prune",
     "prune_with_stats",
     "synthetic_similarity",
     "anchored_similarity",
@@ -213,12 +212,6 @@ def prune_with_stats(u: SimilarityMatrix, n: int):
     kept = np.flatnonzero(keep)
     mapping = {int(old): new for new, old in enumerate(kept)}
     return SimilarityMatrix(uv[np.ix_(kept, kept)]), mapping, sweeps
-
-
-def prune(u: SimilarityMatrix, n: int):
-    """`prune_with_stats` without the sweep count."""
-    u2, mapping, _ = prune_with_stats(u, n)
-    return u2, mapping
 
 
 def synthetic_similarity(spec: SyntheticSimilaritySpec, min_row_sum: int = 0) -> SimilarityMatrix:

@@ -30,6 +30,7 @@ from .datasets import (
 from .markov import cache_hit_ratio, stationary_direct
 from .model import RequestModel
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
+from .serialize import open_text
 from .simulate import SessionConfig, simulate, top_c_cache
 
 __all__ = [
@@ -278,28 +279,34 @@ def _blank_row(cfg: ScenarioConfig, pt: _GridPoint, policy: str) -> dict:
     }
 
 
+def _cell(pt: _GridPoint, u, follow_prob: float, quality: float):
+    """Model, cache and optimizer inputs of one grid cell over the
+    similarity catalog `u`.
+
+    Popularity is Zipf over the catalog, the cache holds the most popular
+    contents, and every request outside it costs one.
+    """
+    k = u.size
+    p0 = zipf_popularity(k, pt.zipf_s)
+    cache = top_c_cache(p0, max(1, round(pt.cache_fraction * k)))
+    x = np.ones(k)
+    x[np.fromiter(cache.cached, dtype=int)] = 0.0
+    model = RequestModel(p0, follow_prob, pt.list_size)
+    return model, cache, OptimInputs(u, model, x, quality)
+
+
 def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> dict:
     """Solve and simulate one (grid point, policy) cell."""
     row = _blank_row(cfg, pt, policy)
     start = time.perf_counter()
     try:
-        uv = np.asarray(u, dtype=float)
-        k = uv.shape[0]
-        p0 = zipf_popularity(k, pt.zipf_s)
-        c = max(1, round(pt.cache_fraction * k))
-        cache = top_c_cache(p0, c)
-        x = np.ones(k)
-        x[np.fromiter(cache.cached, dtype=int)] = 0.0
-
         if policy == "norec":
-            model = RequestModel(p0, 0.0, pt.list_size)
-            inputs = OptimInputs(u, model, x, 0.0)
+            model, cache, inputs = _cell(pt, u, 0.0, 0.0)
             y = top_n_similarity(inputs)
-            analytic = float(np.asarray(p0)[sorted(cache.cached)].sum())
+            analytic = float(np.asarray(model.popularity)[sorted(cache.cached)].sum())
             iterations = 0
         else:
-            model = RequestModel(p0, pt.follow_prob, pt.list_size)
-            inputs = OptimInputs(u, model, x, pt.quality)
+            model, cache, inputs = _cell(pt, u, pt.follow_prob, pt.quality)
             if policy == "myopic":
                 y = myopic_solve(inputs)
                 iterations = 0
@@ -318,8 +325,8 @@ def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> di
         sim_cfg = replace(cfg.session, seed=row["seed"])
         metrics = simulate(y, model, cache, u, sim_cfg)
         row.update(
-            catalog_size=k,
-            cache_size=c,
+            catalog_size=inputs.size,
+            cache_size=cache.capacity,
             analytic_chr=analytic,
             empirical_chr=metrics.empirical_chr,
             mean_quality=metrics.mean_quality_served,
@@ -396,15 +403,7 @@ def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
     """
     pt = build_grid(cfg)[0]
     u = _similarity_for(cfg, pt.list_size, {})
-    uv = np.asarray(u, dtype=float)
-    k = uv.shape[0]
-    p0 = zipf_popularity(k, pt.zipf_s)
-    c = max(1, round(pt.cache_fraction * k))
-    cache = top_c_cache(p0, c)
-    x = np.ones(k)
-    x[np.fromiter(cache.cached, dtype=int)] = 0.0
-    model = RequestModel(p0, pt.follow_prob, pt.list_size)
-    inputs = OptimInputs(u, model, x, pt.quality)
+    _, _, inputs = _cell(pt, u, pt.follow_prob, pt.quality)
     result = cars_solve(inputs, replace(cfg.cars))
     if result.message:
         raise RuntimeError(result.message)
@@ -423,14 +422,9 @@ def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         dest = Path(cfg.output_dir) / "trace.csv"
     if dest is not None:
-        own = not hasattr(dest, "write")
-        fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-        try:
+        with open_text(dest, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for r in rows:
                 writer.writerow([r[0]] + [f"{v:.17g}" for v in r[1:]])
-        finally:
-            if own:
-                fh.close()
     return rows

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Catalog",
     "SimilarityMatrix",
     "PopularityVector",
     "CostVector",
@@ -31,26 +30,23 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """The content catalog: a size and one opaque id per content."""
+class _ArrayWrapper:
+    """Array protocol shared by the wrappers of one frozen ``values`` array.
 
-    size: int
-    ids: tuple = ()
+    ``np.asarray(w)`` returns the read-only array itself; ``np.array(w)``
+    returns a writable copy, as numpy's ``copy`` argument asks.
+    """
 
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"catalog size must be >= 2, got {self.size}")
-        ids = tuple(self.ids) if self.ids else tuple(range(self.size))
-        if len(ids) != self.size:
-            raise ValueError(f"expected {self.size} ids, got {len(ids)}")
-        if len(set(ids)) != len(ids):
-            raise ValueError("catalog ids must be unique")
-        object.__setattr__(self, "ids", ids)
+    @property
+    def size(self) -> int:
+        return self.values.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(_ArrayWrapper):
     """K x K content-relatedness scores in [0, 1] with a zero diagonal."""
 
     values: np.ndarray
@@ -67,16 +63,9 @@ class SimilarityMatrix:
             raise ValueError("similarity diagonal must be zero")
         object.__setattr__(self, "values", v)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
 
 @dataclass(frozen=True)
-class PopularityVector:
+class PopularityVector(_ArrayWrapper):
     """Baseline request probabilities: nonnegative, summing to one."""
 
     values: np.ndarray
@@ -102,16 +91,9 @@ class PopularityVector:
             )
         object.__setattr__(self, "values", v)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
 
 @dataclass(frozen=True)
-class CostVector:
+class CostVector(_ArrayWrapper):
     """Per-content fetch cost: finite and nonnegative."""
 
     values: np.ndarray
@@ -125,13 +107,6 @@ class CostVector:
         if v.min() < 0.0:
             raise ValueError("cost entries must be >= 0")
         object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -204,7 +179,7 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
 
 
 @dataclass(frozen=True)
-class RecMatrix:
+class RecMatrix(_ArrayWrapper):
     """Row-stochastic recommendation matrix with entries in [0, 1/N].
 
     Entry (i, j) is the probability the recommender shows content j after
@@ -227,13 +202,6 @@ class RecMatrix:
             raise ValueError(
                 f"invalid recommendation matrix ({len(bad)} violations): {head}"
             )
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -275,7 +243,7 @@ class RequestModel:
 
 
 @dataclass(frozen=True)
-class StationaryVector:
+class StationaryVector(_ArrayWrapper):
     """Long-run fraction of requests per content."""
 
     values: np.ndarray
@@ -290,10 +258,3 @@ class StationaryVector:
         if abs(v.sum() - 1.0) > self.tol:
             raise ValueError(f"stationary distribution sums to {v.sum()!r}, not 1")
         object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)

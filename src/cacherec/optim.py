@@ -7,9 +7,11 @@ multiplier. The stationary policy (`cars_solve`) minimizes the long-run
 cost by alternating convex minimizations of an augmented Lagrangian in
 which the stationarity condition of the request chain enters as a
 penalized equality residual. Its distribution step is a QP over the
-probability simplex, solved by `solve_qp`; its recommendation step is
-solved row by row, each row an exact projection onto its polytope with
-the quality floor.
+probability simplex, solved iteratively by `solve_qp`; a distribution
+step stopped at its step cap logs a warning. Its recommendation step
+needs no general QP: the penalized objective depends on Y only through
+``Y^T pi``, so a block descent solves it row by row, each row an exact
+projection onto its polytope with the quality floor.
 """
 
 import logging
@@ -25,7 +27,7 @@ from .model import (
     SimilarityMatrix,
     StationaryVector,
 )
-from .qp import INFEASIBLE, MAXITER, QpProblem, _project_capped, solve_qp
+from .qp import MAXITER, QpProblem, _project_capped, solve_qp
 
 __all__ = [
     "OptimInputs",
@@ -269,7 +271,6 @@ def cars_pi_step(
     a = inputs.model.follow_prob
     x = np.asarray(inputs.cost, dtype=float)
     lv = np.asarray(lam, dtype=float)
-    k = p0.size
 
     def p_vec(v):  # P v
         return a * (yv @ v) + (1.0 - a) * float(p0 @ v)
@@ -281,18 +282,8 @@ def cars_pi_step(
         w = v - pt_vec(v)
         return rho * (w - p_vec(w))
 
-    lin = x + lv - p_vec(lv)
-    problem = QpProblem(
-        linear=lin,
-        quadratic=qmv,
-        groups=[np.arange(k)],
-        group_targets=np.array([1.0]),
-        lower=0.0,
-        upper=1.0,
-    )
+    problem = QpProblem(linear=x + lv - p_vec(lv), quadratic=qmv)
     sol = solve_qp(problem, tol=tol, max_iter=max_iter, x0=p0 if x0 is None else x0)
-    if sol.status == INFEASIBLE:
-        raise RuntimeError(f"stationary-step subproblem infeasible: {sol.message}")
     if sol.status == MAXITER:
         _log.warning("stationary step: %s", sol.message)
     pi = StationaryVector(sol.point)

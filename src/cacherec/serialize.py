@@ -8,6 +8,7 @@ significant decimal digits, which round-trips IEEE doubles bit-exactly.
 
 import hashlib
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,10 +22,18 @@ __all__ = [
 ]
 
 
-def _open(dest, mode):
+@contextmanager
+def open_text(dest, mode: str = "r", newline: str | None = None):
+    """Yield a text stream for `dest`, a path or an open file object.
+
+    A path is opened as UTF-8 text and closed on exit; a file object is
+    yielded as it is and stays open, since its caller owns it.
+    """
     if hasattr(dest, "write") or hasattr(dest, "read"):
-        return dest, False
-    return open(dest, mode, encoding="utf-8"), True
+        yield dest
+    else:
+        with open(dest, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
 
 
 def save_matrix(dest, matrix) -> None:
@@ -32,21 +41,16 @@ def save_matrix(dest, matrix) -> None:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("save_matrix expects a 2-d array")
-    fh, own = _open(dest, "w")
-    try:
+    with open_text(dest, "w") as fh:
         fh.write(f"# dims {m.shape[0]} {m.shape[1]}\n")
         rows, cols = np.nonzero(m)
         for i, j in zip(rows, cols):
             fh.write(f"{i} {j} {m[i, j]:.17g}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_matrix(src) -> np.ndarray:
     """Read a triplet-format matrix back into a dense float array."""
-    fh, own = _open(src, "r")
-    try:
+    with open_text(src) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[:2] != ["#", "dims"]:
             raise ValueError("matrix file must start with '# dims K K'")
@@ -64,9 +68,6 @@ def load_matrix(src) -> np.ndarray:
                 raise ValueError(f"line {lineno}: index ({i}, {j}) out of range")
             out[i, j] = float(parts[2])
         return out
-    finally:
-        if own:
-            fh.close()
 
 
 def save_vector(dest, vector) -> None:
@@ -74,19 +75,14 @@ def save_vector(dest, vector) -> None:
     v = np.asarray(vector, dtype=float)
     if v.ndim != 1:
         raise ValueError("save_vector expects a 1-d array")
-    fh, own = _open(dest, "w")
-    try:
+    with open_text(dest, "w") as fh:
         for x in v:
             fh.write(f"{x:.17g}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_vector(src) -> np.ndarray:
     """Read a one-value-per-line vector; '#' lines and blanks skipped."""
-    fh, own = _open(src, "r")
-    try:
+    with open_text(src) as fh:
         values = []
         for line in fh:
             line = line.strip()
@@ -94,9 +90,6 @@ def load_vector(src) -> np.ndarray:
                 continue
             values.append(float(line))
         return np.asarray(values)
-    finally:
-        if own:
-            fh.close()
 
 
 def write_provenance(path, record: dict) -> None:

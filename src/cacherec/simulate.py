@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PopularityVector, RecMatrix, RequestModel, SimilarityMatrix
+from .serialize import open_text
 
 __all__ = [
     "CachePlacement",
@@ -221,9 +222,7 @@ def simulate(
 
 
 def _write_log(dest, contents, session_ids, followed_flags, hits_mask):
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with open_text(dest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "session", "content", "followed_rec", "hit"])
         for i in range(contents.size):
@@ -236,9 +235,6 @@ def _write_log(dest, contents, session_ids, followed_flags, hits_mask):
                     int(hits_mask[i]),
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def empirical_content_distribution(metrics: SimMetrics) -> PopularityVector:

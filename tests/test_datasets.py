@@ -18,7 +18,6 @@ from cacherec import (
     load_movielens_csv,
     prepare_lastfm,
     prepare_movielens,
-    prune,
     symmetrize_max,
     synthetic_similarity,
     zipf_popularity,
@@ -162,14 +161,15 @@ class TestSymmetrizeMax:
 class TestPrune:
     def test_all_rows_above_floor_unchanged(self):
         u = SimilarityMatrix(np.ones((4, 4)) - np.eye(4))
-        out, mapping = prune(u, 2)
+        out, mapping, sweeps = prune_with_stats(u, 2)
         npt.assert_array_equal(np.asarray(out), np.asarray(u))
         assert mapping == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert sweeps == 0
 
     def test_everything_pruned_is_an_error(self):
         u = SimilarityMatrix(np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValueError, match="whole catalog"):
-            prune(u, 2)
+            prune_with_stats(u, 2)
 
     def test_cascading_removal_reaches_fixpoint(self):
         # content 3 hangs off a triangle: dropping it must not strand
@@ -190,7 +190,7 @@ class TestPrune:
             u = np.maximum(u, u.T)
             np.fill_diagonal(u, 0.0)
             try:
-                out, _ = prune(SimilarityMatrix(u), 2)
+                out, _, _ = prune_with_stats(SimilarityMatrix(u), 2)
             except ValueError:
                 continue
             assert np.asarray(out).sum(axis=1).min() > 2

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from cacherec import (
-    Catalog,
     CostVector,
     PopularityVector,
     RecMatrix,
@@ -14,20 +13,6 @@ from cacherec import (
     StationaryVector,
     validate_rec_matrix,
 )
-
-
-class TestCatalog:
-    def test_defaults_ids(self):
-        c = Catalog(3)
-        assert c.ids == (0, 1, 2)
-
-    def test_size_below_two_rejected(self):
-        with pytest.raises(ValueError, match="size"):
-            Catalog(1)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            Catalog(2, ids=("a", "a"))
 
 
 class TestSimilarityMatrix:
@@ -176,3 +161,33 @@ class TestStationaryVector:
     def test_sum_violation_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
             StationaryVector([0.25, 0.25])
+
+
+WRAPPERS = [
+    lambda: SimilarityMatrix(np.array([[0.0, 0.5], [1.0, 0.0]])),
+    lambda: PopularityVector([0.3, 0.7]),
+    lambda: CostVector([1.0, 0.0]),
+    lambda: RecMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), list_size=1),
+    lambda: StationaryVector([0.25, 0.75]),
+]
+
+
+@pytest.mark.parametrize(
+    "make", WRAPPERS, ids=["similarity", "popularity", "cost", "rec", "stationary"]
+)
+class TestArrayProtocol:
+    def test_array_copies_and_is_writable(self, make):
+        w = make()
+        before = w.values.copy()
+        a = np.array(w)
+        assert not np.shares_memory(a, w.values)
+        a[...] = -1.0
+        assert_array_equal(w.values, before)
+        assert_array_equal(np.array(w, dtype=np.float32), w.values.astype(np.float32))
+
+    def test_asarray_does_not_copy(self, make):
+        w = make()
+        assert np.asarray(w) is w.values
+        assert np.array(w, copy=False) is w.values
+        assert not np.asarray(w).flags.writeable
+        assert w.size == w.values.shape[0]

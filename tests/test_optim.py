@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import linprog, minimize
 
 from cacherec import (
     CarsConfig,
@@ -27,7 +28,6 @@ from cacherec import (
     validate_rec_matrix,
 )
 from cacherec.optim import _quality_row_prox
-from cacherec.qp import QpProblem, solve_qp
 
 from oracles import (
     best_deterministic_cost,
@@ -153,23 +153,14 @@ class TestMyopicSolve:
             u = np.asarray(inp.similarity, dtype=float)
 
             lin = (a * np.outer(p0, x)).ravel()
-            lower = np.zeros(k * k)
-            upper = np.full(k * k, 1.0 / n)
-            upper[:: k + 1] = 0.0
-            groups = [np.arange(i * k, (i + 1) * k) for i in range(k)]
-            g = np.zeros((k, k * k))
-            for i in range(k):
-                g[i, i * k : (i + 1) * k] = u[i]
-            problem = QpProblem(
-                linear=lin,
-                groups=groups,
-                group_targets=np.ones(k),
-                lower=lower,
-                upper=upper,
-                inequalities=(g, np.asarray(inp.quality, dtype=float)),
+            res = linprog(
+                lin,
+                A_ub=-row_blocks(u), b_ub=-np.asarray(inp.quality, dtype=float),
+                A_eq=row_blocks(np.ones((k, k))), b_eq=np.ones(k),
+                bounds=rec_bounds(k, n), method="highs",
             )
-            sol = solve_qp(problem, tol=1e-10)
-            joint = float(lin @ sol.point)
+            assert res.status == 0, (trial, res.message)
+            joint = float(res.fun)
             y = np.asarray(myopic_solve(inp))
             per_row = float(lin @ y.ravel())
             assert abs(joint - per_row) <= 1e-8, trial
@@ -280,29 +271,47 @@ def binding_instance(rng, k, n):
     return OptimInputs(probe.similarity, probe.model, probe.cost, floor)
 
 
-def y_step_qp(pi, lam, rho, inputs):
-    """The recommendation step as a general QP over all K^2 entries."""
+def row_blocks(w):
+    """K x K^2 matrix whose row i applies ``w[i]`` to row i of a flattened Y."""
+    k = w.shape[0]
+    out = np.zeros((k, k * k))
+    for i in range(k):
+        out[i, i * k:(i + 1) * k] = w[i]
+    return out
+
+
+def rec_bounds(k, n):
+    """Entry bounds of a flattened Y: [0, 1/N], zero on the diagonal."""
+    return [(0.0, 0.0 if i == j else 1.0 / n) for i in range(k) for j in range(k)]
+
+
+def y_step_reference(pi, lam, rho, inputs, y0):
+    """The recommendation step solved by SLSQP over all K^2 entries of Y."""
     pv = np.asarray(pi, dtype=float)
     u = np.asarray(inputs.similarity, dtype=float)
-    p0 = np.asarray(inputs.model.popularity, dtype=float)
     a = inputs.model.follow_prob
-    n = inputs.model.list_size
     k = pv.size
-    lin = -a * np.outer(pv, lam + rho * (pv - (1.0 - a) * p0)).ravel()
-    g = np.zeros((k, k * k))
-    for i in range(k):
-        g[i, i * k:(i + 1) * k] = u[i]
-    upper = np.full(k * k, 1.0 / n)
-    upper[:: k + 1] = 0.0
-    return QpProblem(
-        linear=lin,
-        quadratic=lambda v: (a * a * rho) * np.outer(pv, pv @ v.reshape(k, k)).ravel(),
-        groups=[np.arange(i * k, (i + 1) * k) for i in range(k)],
-        group_targets=np.ones(k),
-        lower=0.0,
-        upper=upper,
-        inequalities=(g, np.asarray(inputs.quality, dtype=float)),
+
+    def fun(v):
+        return augmented_lagrangian(pv, v.reshape(k, k), lam, rho, inputs)
+
+    def jac(v):
+        c = residual_c(pv, v.reshape(k, k), inputs.model)
+        return -a * np.outer(pv, lam + rho * c).ravel()
+
+    sums, floors = row_blocks(np.ones((k, k))), row_blocks(u)
+    q = np.asarray(inputs.quality, dtype=float)
+    res = minimize(
+        fun, np.asarray(y0, dtype=float).ravel(), jac=jac, method="SLSQP",
+        bounds=rec_bounds(k, inputs.model.list_size),
+        constraints=[
+            {"type": "eq", "fun": lambda v: sums @ v - 1.0, "jac": lambda v: sums},
+            {"type": "ineq", "fun": lambda v: floors @ v - q, "jac": lambda v: floors},
+        ],
+        options={"ftol": 1e-15, "maxiter": 1000},
     )
+    assert res.success, res.message
+    return res.x.reshape(k, k)
 
 
 class TestQualityRowProx:
@@ -349,12 +358,15 @@ class TestCarsYStep:
             rho = float(rng.uniform(0.5, 4.0))
             y0 = top_n_similarity(inp)
             y = cars_y_step(pi, lam, rho, inp, y0)
-            ref = solve_qp(y_step_qp(pi, lam, rho, inp), tol=1e-9, max_iter=4000)
+            ref = y_step_reference(pi, lam, rho, inp, y0)
+            assert validate_rec_matrix(ref, 1e-9, 2) == [], trial
+            assert np.all(quality_of(ref, inp.similarity) >= inp.quality - 1e-9), trial
             f = augmented_lagrangian(pi, y, lam, rho, inp)
             f0 = augmented_lagrangian(pi, y0, lam, rho, inp)
-            f_ref = augmented_lagrangian(pi, ref.point.reshape(k, k), lam, rho, inp)
+            f_opt = augmented_lagrangian(pi, ref, lam, rho, inp)
             assert f <= f0 + 1e-12, trial
-            assert f <= f_ref + 1e-7, (trial, f - f_ref)
+            assert f >= f_opt - 1e-12, (trial, f - f_opt)
+            assert f - f_opt <= 1e-3 * (f0 - f_opt), (trial, f - f_opt, f0 - f_opt)
             at_floor = np.abs(quality_of(y, inp.similarity) - inp.quality) <= 1e-9
             assert at_floor.any(), trial
 

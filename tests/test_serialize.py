@@ -15,6 +15,7 @@ from cacherec import (
     save_vector,
     write_provenance,
 )
+from cacherec.serialize import open_text
 
 
 class TestMatrixFormat:
@@ -96,3 +97,24 @@ class TestProvenance:
         assert file_sha256(path) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+
+class TestOpenText:
+    def test_caller_stream_is_yielded_and_stays_open(self):
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError):
+            with open_text(buf, "w") as fh:
+                assert fh is buf
+                raise RuntimeError
+        assert not buf.closed
+        save_vector(buf, np.ones(2))
+        assert not buf.closed
+
+    def test_path_is_closed_on_error(self, tmp_path):
+        path = tmp_path / "v.txt"
+        with pytest.raises(RuntimeError):
+            with open_text(path, "w") as fh:
+                fh.write("0.5\n")
+                raise RuntimeError
+        assert fh.closed
+        npt.assert_array_equal(load_vector(path), [0.5])
