@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -70,16 +70,10 @@ RESULT_COLUMNS = (
 )
 TRACE_COLUMNS = ("iter", "actual_cost", "virtual_cost", "residual_sq", "lambda_norm")
 
-_CARS_KEYS = (
-    "rho",
-    "acc1",
-    "acc2",
-    "max_iter",
-    "multiplier_step",
-    "subproblem_tol",
-    "subproblem_max_iter",
-)
-_SESSION_KEYS = ("total_requests", "session_kind", "session_param")
+# JSON keys of the "cars" and "session" objects; the warm start and the
+# session seed are set per run, not by the config.
+_CARS_KEYS = tuple(f.name for f in fields(CarsConfig) if f.name != "y0")
+_SESSION_KEYS = tuple(f.name for f in fields(SessionConfig) if f.name != "seed")
 _DATASET_KINDS = ("synthetic", "movielens", "lastfm")
 
 
@@ -194,9 +188,7 @@ def _parse_session(raw) -> SessionConfig:
     unknown = set(raw) - set(_SESSION_KEYS)
     if unknown:
         raise ConfigError(f"unknown session keys: {sorted(unknown)}")
-    merged = {"total_requests": 40000, "session_kind": "fixed", "session_param": 200}
-    merged.update(raw)
-    return SessionConfig(**merged)
+    return replace(_default_session(), **raw)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ __all__ = [
     "stationary_direct",
     "stationary_power",
     "expected_cost",
-    "finite_horizon_cost",
     "cache_hit_ratio",
     "quality_of",
 ]
@@ -106,24 +105,6 @@ def expected_cost(pi, x) -> float:
     if pv.shape != xv.shape:
         raise ValueError(f"dimension mismatch: {pv.shape} vs {xv.shape}")
     return float(pv @ xv)
-
-
-def finite_horizon_cost(y: RecMatrix, m: RequestModel, x, horizon: int) -> float:
-    """Expected cost accumulated over requests 0..horizon of one session.
-
-    Computes ``sum_{t=0}^{horizon} p0^T P^t x`` by repeated vector-matrix
-    products; no matrix power is ever materialized.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    p = build_transition(y, m)
-    xv = np.asarray(x, dtype=float)
-    r = np.asarray(m.popularity, dtype=float).copy()
-    total = float(r @ xv)
-    for _ in range(horizon):
-        r = r @ p
-        total += float(r @ xv)
-    return total
 
 
 def cache_hit_ratio(y: RecMatrix, m: RequestModel, cached) -> float:

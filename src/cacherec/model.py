@@ -7,7 +7,7 @@ read-only), so instances are safe to share across threads.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,11 @@ __all__ = [
     "Violation",
     "validate_rec_matrix",
 ]
+
+# Feasibility tolerance of a RecMatrix, and the tolerance on a
+# StationaryVector's sign and total mass.
+_REC_TOL = 1e-6
+_STATIONARY_TOL = 1e-8
 
 
 def _freeze(a) -> np.ndarray:
@@ -189,14 +194,13 @@ class RecMatrix(_ArrayWrapper):
 
     values: np.ndarray
     list_size: int
-    eps_feas: float = 1e-6
 
     def __post_init__(self):
         if self.list_size < 1:
             raise ValueError("list size must be >= 1")
         v = _freeze(self.values)
         object.__setattr__(self, "values", v)
-        bad = validate_rec_matrix(v, self.eps_feas, self.list_size)
+        bad = validate_rec_matrix(v, _REC_TOL, self.list_size)
         if bad:
             head = "; ".join(str(b) for b in bad[:5])
             raise ValueError(
@@ -247,14 +251,13 @@ class StationaryVector(_ArrayWrapper):
     """Long-run fraction of requests per content."""
 
     values: np.ndarray
-    tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
         v = _freeze(self.values)
         if v.ndim != 1:
             raise ValueError("stationary distribution must be a vector")
-        if v.min() < -self.tol:
+        if v.min() < -_STATIONARY_TOL:
             raise ValueError(f"stationary entries must be >= 0, min is {v.min()}")
-        if abs(v.sum() - 1.0) > self.tol:
+        if abs(v.sum() - 1.0) > _STATIONARY_TOL:
             raise ValueError(f"stationary distribution sums to {v.sum()!r}, not 1")
         object.__setattr__(self, "values", v)

@@ -41,7 +41,6 @@ __all__ = [
     "cars_pi_step",
     "cars_y_step",
     "cars_solve",
-    "select_best",
 ]
 
 
@@ -117,16 +116,14 @@ def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
     Ties break toward the lowest index; the diagonal is excluded. This is
     the quality-maximal matrix, so it is feasible whenever the inputs are.
     """
-    u = np.asarray(inputs.similarity, dtype=float)
-    k = u.shape[0]
+    r = np.array(inputs.similarity, dtype=float)
+    k = r.shape[0]
     n = inputs.model.list_size
+    np.fill_diagonal(r, -np.inf)
+    idx = np.broadcast_to(np.arange(k), (k, k))
+    order = np.lexsort((idx, -r), axis=1)
     y = np.zeros((k, k))
-    idx = np.arange(k)
-    for i in range(k):
-        r = u[i].copy()
-        r[i] = -np.inf
-        order = np.lexsort((idx, -r))
-        y[i, order[:n]] = 1.0 / n
+    y[np.arange(k)[:, None], order[:, :n]] = 1.0 / n
     return RecMatrix(y, n)
 
 
@@ -258,8 +255,7 @@ def cars_pi_step(
     x0=None,
     tol: float = 1e-7,
     max_iter: int = 50000,
-    return_solution: bool = False,
-):
+) -> StationaryVector:
     """Minimize the penalized objective over the probability simplex.
 
     With Y fixed the residual is linear in pi, so this is a convex QP
@@ -286,8 +282,7 @@ def cars_pi_step(
     sol = solve_qp(problem, tol=tol, max_iter=max_iter, x0=p0 if x0 is None else x0)
     if sol.status == MAXITER:
         _log.warning("stationary step: %s", sol.message)
-    pi = StationaryVector(sol.point)
-    return (pi, sol) if return_solution else pi
+    return StationaryVector(sol.point)
 
 
 def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
@@ -452,7 +447,6 @@ class CarsConfig:
     """Knobs of the alternating stationary-cost solver."""
 
     rho: float = 1.0
-    lambda0: np.ndarray | None = None
     y0: RecMatrix | None = None
     acc1: float = 1e-6
     acc2: float = 1e-5
@@ -492,14 +486,6 @@ class CarsResult:
     message: str = ""
 
 
-def select_best(cost_trace) -> int:
-    """Index of the minimum-cost iterate; earliest on ties."""
-    trace = np.asarray(cost_trace, dtype=float)
-    if trace.size == 0:
-        raise ValueError("empty cost trace")
-    return int(np.argmin(trace))
-
-
 def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult:
     """Alternating augmented-Lagrangian minimization of the stationary cost.
 
@@ -515,19 +501,18 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     cfg = cfg or CarsConfig()
     m = inputs.model
     x = np.asarray(inputs.cost, dtype=float)
-    k = inputs.size
 
     y = cfg.y0 if cfg.y0 is not None else top_n_similarity(inputs)
     if not isinstance(y, RecMatrix):
         y = RecMatrix(np.asarray(y, dtype=float), m.list_size)
-    lam = np.zeros(k) if cfg.lambda0 is None else np.asarray(cfg.lambda0, dtype=float).copy()
+    lam = np.zeros(inputs.size)
 
     pi_exact = stationary_direct(y, m)
     cost0 = expected_cost(pi_exact, x)
     cost_trace = [cost0]
     residual_trace = [0.0]
     virtual_trace = [cost0]
-    lambda_trace = [float(np.linalg.norm(lam))]
+    lambda_trace = [0.0]
     best_y, best_cost, best_idx = y, cost0, 0
     pi_warm = np.asarray(pi_exact, dtype=float)
     converged = False
@@ -540,7 +525,7 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
                 tol=cfg.subproblem_tol, max_iter=cfg.subproblem_max_iter,
             )
             y_next = cars_y_step(pi_i, lam, cfg.rho, inputs, y0=y)
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        except (ValueError, np.linalg.LinAlgError) as exc:
             message = f"subproblem failed at iteration {i}: {exc}"
             break
         c = residual_c(pi_i, y_next, m)

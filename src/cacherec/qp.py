@@ -40,8 +40,8 @@ class InfeasiblePolytopeError(ValueError):
 # Exact projections
 # ---------------------------------------------------------------------------
 
-def project_simplex(v, target: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto ``{x : sum x = target, x >= 0}``.
+def project_simplex(v) -> np.ndarray:
+    """Euclidean projection onto the simplex ``{x : sum x = 1, x >= 0}``.
 
     Uses the sort-and-threshold method: sort descending, locate the last
     prefix whose running average keeps the threshold below the sorted
@@ -52,12 +52,8 @@ def project_simplex(v, target: float = 1.0) -> np.ndarray:
         raise ValueError("project_simplex expects a vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
-    if target < 0.0:
-        raise InfeasiblePolytopeError(f"simplex mass must be >= 0, got {target}")
-    if target == 0.0:
-        return np.zeros_like(v)
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - target
+    css = np.cumsum(u) - 1.0
     j = np.arange(1, v.size + 1)
     rho = np.nonzero(u * j > css)[0][-1]
     theta = css[rho] / (rho + 1.0)

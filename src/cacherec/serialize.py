@@ -1,9 +1,9 @@
-"""Plain-text persistence for matrices, vectors, and run provenance.
+"""Plain-text persistence for matrices and run provenance.
 
 Matrices use a coordinate triplet layout: a header line ``# dims K K``
 followed by one ``i j value`` line per stored (nonzero) entry, 0-based
-indices. Vectors are one value per line. Values are printed with 17
-significant decimal digits, which round-trips IEEE doubles bit-exactly.
+indices. Values are printed with 17 significant decimal digits, which
+round-trips IEEE doubles bit-exactly.
 """
 
 import hashlib
@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "save_matrix",
     "load_matrix",
-    "save_vector",
-    "load_vector",
     "write_provenance",
     "file_sha256",
 ]
@@ -68,28 +66,6 @@ def load_matrix(src) -> np.ndarray:
                 raise ValueError(f"line {lineno}: index ({i}, {j}) out of range")
             out[i, j] = float(parts[2])
         return out
-
-
-def save_vector(dest, vector) -> None:
-    """Write a vector, one 17-significant-digit value per line."""
-    v = np.asarray(vector, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("save_vector expects a 1-d array")
-    with open_text(dest, "w") as fh:
-        for x in v:
-            fh.write(f"{x:.17g}\n")
-
-
-def load_vector(src) -> np.ndarray:
-    """Read a one-value-per-line vector; '#' lines and blanks skipped."""
-    with open_text(src) as fh:
-        values = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            values.append(float(line))
-        return np.asarray(values)
 
 
 def write_provenance(path, record: dict) -> None:

@@ -8,13 +8,11 @@ start) sampling so each item's inclusion probability is exactly
 are bit-reproducible.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PopularityVector, RecMatrix, RequestModel, SimilarityMatrix
-from .serialize import open_text
 
 __all__ = [
     "CachePlacement",
@@ -23,7 +21,6 @@ __all__ = [
     "top_c_cache",
     "sample_rec_list",
     "simulate",
-    "empirical_content_distribution",
 ]
 
 
@@ -104,14 +101,25 @@ def sample_rec_list(y_row, n: int, rng: np.random.Generator) -> np.ndarray:
             f"infeasible inclusion marginals: sum {z.sum():.9f} (need {n}), "
             f"max {z.max():.9f} (cap 1)"
         )
-    z = np.clip(z, 0.0, 1.0)
-    cum = np.cumsum(z * (n / z.sum()))
-    cum[-1] = n  # guard the last edge against roundoff
+    cum = _inclusion_table(y, n)
     picks = np.searchsorted(cum, rng.random() + np.arange(n), side="right")
     picks = np.minimum(picks, y.size - 1)
     if np.unique(picks).size != n:  # pragma: no cover - roundoff pathologies only
         picks = _dedupe(picks, z)
     return picks
+
+
+def _inclusion_table(y, n: int) -> np.ndarray:
+    """Cumulative inclusion masses of a row (or of each row) of `y`.
+
+    ``n*y`` is clipped to [0, 1] and rescaled to sum to exactly `n`, and
+    the last edge is pinned to `n` against roundoff, so the systematic
+    thresholds u, u+1, ..., u+n-1 always land inside the table.
+    """
+    z = np.clip(n * y, 0.0, 1.0)
+    cum = np.cumsum(z * (n / z.sum(axis=-1, keepdims=True)), axis=-1)
+    cum[..., -1] = n
+    return cum
 
 
 def _dedupe(picks, z):
@@ -133,7 +141,6 @@ def simulate(
     cache: CachePlacement,
     u: SimilarityMatrix,
     cfg: SessionConfig,
-    request_log=None,
 ) -> SimMetrics:
     """Run sessions until the configured number of requests is consumed.
 
@@ -141,12 +148,6 @@ def simulate(
     request follows a fresh recommendation list with probability a
     (picking uniformly within it) and reverts to the popularity
     otherwise. Quality is averaged over followed transitions only.
-
-    Parameters
-    ----------
-    request_log : path or file-like, optional
-        When given, the full request stream is written as CSV rows
-        ``step, session, content, followed_rec, hit``.
     """
     yv = np.asarray(y, dtype=float)
     uv = np.asarray(u, dtype=float)
@@ -160,11 +161,7 @@ def simulate(
     if cache.cached:
         is_cached[np.fromiter(cache.cached, dtype=int)] = True
 
-    # Row-wise cumulative inclusion masses, rescaled to sum exactly N.
-    z = np.clip(n * yv, 0.0, 1.0)
-    z *= n / z.sum(axis=1, keepdims=True)
-    row_cum = np.cumsum(z, axis=1)
-    row_cum[:, -1] = n
+    row_cum = _inclusion_table(yv, n)
     p0_cum = np.cumsum(p0)
     p0_cum[-1] = 1.0
 
@@ -173,12 +170,9 @@ def simulate(
 
     total = cfg.total_requests
     contents = np.empty(total, dtype=np.int64)
-    followed_flags = np.zeros(total, dtype=bool)
-    session_ids = np.empty(total, dtype=np.int64)
     quality_sum = 0.0
     followed = 0
     step = 0
-    session = 0
     while step < total:
         if cfg.session_kind == "fixed":
             length = int(cfg.session_param)
@@ -187,7 +181,6 @@ def simulate(
         length = min(length, total - step)
         current = int(np.searchsorted(p0_cum, rng.random(), side="right"))
         contents[step] = current
-        session_ids[step] = session
         step += 1
         for _ in range(length - 1):
             if rng.random() < a:
@@ -197,18 +190,14 @@ def simulate(
                 nxt = int(min(picks[rng.integers(n)], k - 1))
                 quality_sum += uv[current, nxt]
                 followed += 1
-                followed_flags[step] = True
             else:
                 nxt = int(np.searchsorted(p0_cum, rng.random(), side="right"))
             contents[step] = nxt
-            session_ids[step] = session
             current = nxt
             step += 1
-        session += 1
 
-    hits_mask = is_cached[contents]
-    hits = int(hits_mask.sum())
-    metrics = SimMetrics(
+    hits = int(is_cached[contents].sum())
+    return SimMetrics(
         requests=total,
         hits=hits,
         empirical_chr=hits / total,
@@ -216,30 +205,3 @@ def simulate(
         per_content_counts=np.bincount(contents, minlength=k),
         followed=followed,
     )
-    if request_log is not None:
-        _write_log(request_log, contents, session_ids, followed_flags, hits_mask)
-    return metrics
-
-
-def _write_log(dest, contents, session_ids, followed_flags, hits_mask):
-    with open_text(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "session", "content", "followed_rec", "hit"])
-        for i in range(contents.size):
-            writer.writerow(
-                [
-                    i,
-                    int(session_ids[i]),
-                    int(contents[i]),
-                    int(followed_flags[i]),
-                    int(hits_mask[i]),
-                ]
-            )
-
-
-def empirical_content_distribution(metrics: SimMetrics) -> PopularityVector:
-    """Per-content request frequencies as a popularity vector."""
-    if metrics.requests <= 0:
-        raise ValueError("no requests recorded")
-    counts = np.asarray(metrics.per_content_counts, dtype=float)
-    return PopularityVector(counts / counts.sum())

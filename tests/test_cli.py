@@ -5,7 +5,9 @@ codes, emitted files, and stream output.
 """
 
 import csv
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 import sys
@@ -63,10 +65,13 @@ def read_pyproject():
         return tomllib.load(fh)
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def readme_cli_lines():
     """Command lines of the README's CLI section, continuation lines joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = readme_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = []
     for line in block.splitlines():
         if not line.strip() or line.lstrip().startswith("#"):
@@ -355,9 +360,26 @@ class TestReadme:
         assert args.command == argv[1]
 
     def test_dataset_kinds_match_config(self):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        listed = text.split("`dataset.kind` is one of", 1)[1].split("(", 1)[0]
+        listed = readme_text().split("`dataset.kind` is one of", 1)[1].split("(", 1)[0]
         assert set(re.findall(r"`(\w+)`", listed)) == set(experiments._DATASET_KINDS)
+
+    def test_module_map_names_are_exported(self):
+        # each row's Contents cell names only what its module exports; the
+        # cli row's `cacherec` is the console script
+        rows = {}
+        for line in readme_text().split("Module map", 1)[1].splitlines():
+            cells = line.split("|")
+            if len(cells) > 3 and cells[1].strip().startswith("`cacherec."):
+                rows[cells[1].strip().strip("`")] = cells[2]
+        modules = {m.name for m in pkgutil.iter_modules(cacherec.__path__)}
+        assert set(rows) == {f"cacherec.{m}" for m in modules}
+        unexported = {}
+        for module, contents in rows.items():
+            names = set(re.findall(r"`(\w+)`", contents)) - {"cacherec"}
+            missing = names - set(importlib.import_module(module).__all__)
+            if missing:
+                unexported[module] = sorted(missing)
+        assert unexported == {}
 
 
 class TestParsing:

@@ -1,4 +1,4 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, and the package exports exactly its submodules' names."""
 
 import importlib
 import pkgutil
@@ -28,3 +28,11 @@ def test_star_import():
     namespace = {}
     exec("from cacherec import *", namespace)
     assert set(cacherec.__all__) <= set(namespace)
+
+
+def test_package_all_is_union_of_submodule_alls():
+    expected = {"__version__"}
+    for name in SUBMODULES:
+        if name != "cli":
+            expected |= set(importlib.import_module(f"cacherec.{name}").__all__)
+    assert set(cacherec.__all__) == expected

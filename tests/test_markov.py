@@ -11,7 +11,6 @@ from cacherec import (
     build_transition,
     cache_hit_ratio,
     expected_cost,
-    finite_horizon_cost,
     quality_of,
     stationary_direct,
     stationary_power,
@@ -177,36 +176,6 @@ class TestExpectedCost:
             bumped = x.copy()
             bumped[i] += 0.3
             assert expected_cost(pi, bumped) >= base
-
-
-class TestFiniteHorizonCost:
-    def test_horizon_zero_is_first_request_cost(self):
-        m = RequestModel([0.5, 0.5], 0.8, 1)
-        x = np.array([1.0, 0.0])
-        assert finite_horizon_cost(SWAP, m, x, 0) == pytest.approx(0.5)
-
-    def test_all_ones_cost_counts_requests(self):
-        m = RequestModel([0.5, 0.5], 0.8, 1)
-        for horizon in (0, 1, 7):
-            total = finite_horizon_cost(SWAP, m, np.ones(2), horizon)
-            assert total == pytest.approx(horizon + 1)
-
-    def test_ergodic_limit_matches_stationary_cost(self):
-        rng = np.random.default_rng(7)
-        y = random_rec_matrix(6, 2, rng)
-        p0 = rng.random(6) + 0.05
-        p0 /= p0.sum()
-        m = RequestModel(p0, 0.8, 2)
-        x = rng.random(6)
-        horizon = 10_000
-        avg = finite_horizon_cost(y, m, x, horizon) / (horizon + 1)
-        limit = expected_cost(stationary_direct(y, m), x)
-        assert abs(avg - limit) <= 1e-3
-
-    def test_negative_horizon_rejected(self):
-        m = RequestModel([0.5, 0.5], 0.8, 1)
-        with pytest.raises(ValueError):
-            finite_horizon_cost(SWAP, m, np.ones(2), -1)
 
 
 class TestCacheHitRatio:

@@ -22,7 +22,6 @@ from cacherec import (
     myopic_solve,
     quality_of,
     residual_c,
-    select_best,
     stationary_direct,
     top_n_similarity,
     validate_rec_matrix,
@@ -85,6 +84,29 @@ class TestOptimInputs:
         model = RequestModel(np.full(4, 0.25), 0.5, 2)
         inp = OptimInputs(SimilarityMatrix(u), model, np.ones(4), 0.0)
         npt.assert_allclose(inp.max_quality(), [0.7, 0.6, 0.65, 0.5])
+
+
+class TestTopNSimilarity:
+    @pytest.mark.parametrize("levels", [2, 3, 0])
+    def test_matches_per_row_sort_with_lowest_index_ties(self, levels):
+        # levels=2 gives binary similarities, 3 heavy ties, 0 continuous values
+        rng = np.random.default_rng(levels)
+        for _ in range(20):
+            k = int(rng.integers(3, 40))
+            n = int(rng.integers(1, k))
+            u = rng.random((k, k))
+            if levels:
+                u = np.floor(u * levels) / (levels - 1)
+            u = np.triu(u, 1)
+            u = u + u.T
+            model = RequestModel(np.full(k, 1.0 / k), 0.5, n)
+            inputs = OptimInputs(SimilarityMatrix(u), model, np.ones(k))
+            y = np.asarray(top_n_similarity(inputs))
+            ref = np.zeros((k, k))
+            for i in range(k):
+                top = sorted((j for j in range(k) if j != i), key=lambda j: (-u[i, j], j))
+                ref[i, top[:n]] = 1.0 / n
+            npt.assert_array_equal(y, ref)
 
 
 class TestMyopicSolve:
@@ -456,20 +478,6 @@ class TestSolverWarnings:
             cars_y_step(full / full.sum(), lam, 2.0, inp)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "block descent stopped" in caplog.records[0].getMessage()
-
-
-class TestSelectBest:
-    def test_picks_minimum(self):
-        assert select_best([5.0, 3.0, 4.0]) == 1
-
-    def test_singleton(self):
-        assert select_best([2.0]) == 0
-
-    def test_monotone_decreasing_picks_last(self):
-        assert select_best([5.0, 4.0, 3.0, 2.0]) == 3
-
-    def test_tie_picks_earliest(self):
-        assert select_best([4.0, 2.0, 2.0]) == 1
 
 
 class TestCarsSolve:

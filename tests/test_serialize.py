@@ -1,4 +1,4 @@
-"""Round-trip tests for the plain-text matrix/vector persistence."""
+"""Round-trip tests for the plain-text matrix persistence."""
 
 import io
 import json
@@ -10,9 +10,7 @@ import pytest
 from cacherec import (
     file_sha256,
     load_matrix,
-    load_vector,
     save_matrix,
-    save_vector,
     write_provenance,
 )
 from cacherec.serialize import open_text
@@ -66,23 +64,6 @@ class TestMatrixFormat:
             save_matrix(io.StringIO(), np.arange(3.0))
 
 
-class TestVectorFormat:
-    def test_round_trip_bit_exact(self):
-        v = np.array([1 / 3, 1e-17, -2.5, 0.1 + 0.2])
-        buf = io.StringIO()
-        save_vector(buf, v)
-        buf.seek(0)
-        npt.assert_array_equal(load_vector(buf), v)
-
-    def test_comments_and_blanks_skipped(self):
-        src = io.StringIO("# popularity\n0.5\n\n0.5\n")
-        npt.assert_array_equal(load_vector(src), [0.5, 0.5])
-
-    def test_non_1d_rejected(self):
-        with pytest.raises(ValueError, match="1-d"):
-            save_vector(io.StringIO(), np.zeros((2, 2)))
-
-
 class TestProvenance:
     def test_stable_json_with_sorted_keys(self, tmp_path):
         path = tmp_path / "prov.json"
@@ -107,14 +88,14 @@ class TestOpenText:
                 assert fh is buf
                 raise RuntimeError
         assert not buf.closed
-        save_vector(buf, np.ones(2))
+        save_matrix(buf, np.eye(2))
         assert not buf.closed
 
     def test_path_is_closed_on_error(self, tmp_path):
-        path = tmp_path / "v.txt"
+        path = tmp_path / "m.txt"
         with pytest.raises(RuntimeError):
             with open_text(path, "w") as fh:
-                fh.write("0.5\n")
+                fh.write("# dims 1 1\n0 0 0.5\n")
                 raise RuntimeError
         assert fh.closed
-        npt.assert_array_equal(load_vector(path), [0.5])
+        npt.assert_array_equal(load_matrix(path), [[0.5]])

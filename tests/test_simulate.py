@@ -1,7 +1,5 @@
 """Tests for the Monte-Carlo session simulator and Madow list sampling."""
 
-import io
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,7 +11,6 @@ from cacherec import (
     SessionConfig,
     SimilarityMatrix,
     cache_hit_ratio,
-    empirical_content_distribution,
     sample_rec_list,
     simulate,
     stationary_direct,
@@ -154,6 +151,16 @@ class TestSimulate:
         assert int(metrics.per_content_counts.sum()) == 3_333
         assert metrics.requests == 3_333
 
+    def test_hits_and_follows_agree_with_counts(self):
+        y, u, m = swap_instance(a=0.98)
+        cache = CachePlacement(frozenset({0}), 1)
+        cfg = SessionConfig(total_requests=600, session_param=2, seed=14)
+        metrics = simulate(y, m, cache, u, cfg)
+        assert metrics.hits == metrics.per_content_counts[0]
+        # a session's first request is never a follow: at most one of the
+        # two requests in each of the 300 sessions follows a recommendation
+        assert 0 < metrics.followed <= 300
+
     def test_quality_served_averages_similarity_of_follows(self):
         y, u, m = swap_instance(a=0.9)
         cache = CachePlacement(frozenset({0}), 1)
@@ -177,48 +184,6 @@ class TestSimulate:
             SessionConfig(total_requests=10, session_kind="poisson")
 
 
-class TestRequestLog:
-    def test_log_layout_and_hit_recount(self):
-        y, u, m = swap_instance(a=0.7)
-        cache = CachePlacement(frozenset({0}), 1)
-        cfg = SessionConfig(total_requests=600, session_param=50, seed=14)
-        buf = io.StringIO()
-        metrics = simulate(y, m, cache, u, cfg, request_log=buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "step,session,content,followed_rec,hit"
-        assert len(lines) == 601
-        steps, sessions, contents, followed, hits = [], [], [], [], []
-        for row in lines[1:]:
-            s, sess, c, f, h = (int(v) for v in row.split(","))
-            steps.append(s)
-            sessions.append(sess)
-            contents.append(c)
-            followed.append(f)
-            hits.append(h)
-        npt.assert_array_equal(steps, np.arange(600))
-        assert np.all(np.diff(sessions) >= 0)
-        # independent recount of hits from the logged stream
-        recount = sum(1 for c in contents if c in cache.cached)
-        assert recount == metrics.hits
-        assert sum(hits) == metrics.hits
-        for c, h in zip(contents, hits):
-            assert h == int(c in cache.cached)
-        assert sum(followed) == metrics.followed
-        # a session's first request is never a follow
-        first_of_session = np.flatnonzero(np.diff([ -1 ] + sessions) != 0)
-        assert all(followed[i] == 0 for i in first_of_session)
-
-    def test_log_to_file(self, tmp_path):
-        y, u, m = swap_instance()
-        cache = CachePlacement(frozenset({0}), 1)
-        path = tmp_path / "requests.csv"
-        simulate(y, m, cache, u, SessionConfig(total_requests=50, seed=15),
-                 request_log=path)
-        text = path.read_text().strip().splitlines()
-        assert text[0] == "step,session,content,followed_rec,hit"
-        assert len(text) == 51
-
-
 class TestEmpiricalDistribution:
     def test_single_step_sessions_recover_popularity(self):
         y, u, _ = swap_instance()
@@ -227,7 +192,7 @@ class TestEmpiricalDistribution:
         cache = CachePlacement(frozenset({0}), 1)
         cfg = SessionConfig(total_requests=40_000, session_param=1, seed=16)
         metrics = simulate(y, m, cache, u, cfg)
-        emp = np.asarray(empirical_content_distribution(metrics))
+        emp = metrics.per_content_counts / metrics.requests
         assert np.abs(emp - p0).sum() <= 0.02
 
     def test_long_sessions_recover_stationary(self):
@@ -235,7 +200,7 @@ class TestEmpiricalDistribution:
         cache = CachePlacement(frozenset({0}), 1)
         cfg = SessionConfig(total_requests=40_000, session_param=200, seed=17)
         metrics = simulate(y, m, cache, u, cfg)
-        emp = np.asarray(empirical_content_distribution(metrics))
+        emp = metrics.per_content_counts / metrics.requests
         pi = np.asarray(stationary_direct(y, m))
         assert np.abs(emp - pi).sum() <= 0.02
 
@@ -245,5 +210,5 @@ class TestEmpiricalDistribution:
         cache = CachePlacement(frozenset({0}), 1)
         cfg = SessionConfig(total_requests=40_000, session_param=400, seed=18)
         metrics = simulate(y, m, cache, u, cfg)
-        emp = np.asarray(empirical_content_distribution(metrics))
+        emp = metrics.per_content_counts / metrics.requests
         npt.assert_allclose(emp, [0.5, 0.5], atol=0.02)
