@@ -136,6 +136,8 @@ def _cmd_trace(args) -> int:
             print(f"wrote {Path(cfg.output_dir) / 'trace.csv'} ({len(rows)} iterates)")
         else:
             emit_convergence_trace(cfg, dest=sys.stdout)
+    except ConfigError:
+        raise
     except (RuntimeError, ValueError) as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 2

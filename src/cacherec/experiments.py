@@ -28,9 +28,9 @@ from .datasets import (
     zipf_popularity,
 )
 from .markov import cache_hit_ratio, stationary_direct
-from .model import RequestModel
+from .model import RequestModel, SimilarityMatrix
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
-from .serialize import open_text
+from .serialize import load_matrix, open_text
 from .simulate import SessionConfig, simulate, top_c_cache
 
 __all__ = [
@@ -74,7 +74,7 @@ TRACE_COLUMNS = ("iter", "actual_cost", "virtual_cost", "residual_sq", "lambda_n
 # session seed are set per run, not by the config.
 _CARS_KEYS = tuple(f.name for f in fields(CarsConfig) if f.name != "y0")
 _SESSION_KEYS = tuple(f.name for f in fields(SessionConfig) if f.name != "seed")
-_DATASET_KINDS = ("synthetic", "movielens", "lastfm")
+_DATASET_KINDS = ("synthetic", "movielens", "lastfm", "matrix")
 
 
 class ConfigError(ValueError):
@@ -214,29 +214,36 @@ def build_grid(cfg: ScenarioConfig):
 def _similarity_for(cfg: ScenarioConfig, n: int, cache: dict):
     """Build (or reuse) the similarity catalog for one list size.
 
-    Real datasets are pruned with the list size as the degree floor, so
+    Raw datasets are pruned with the list size as the degree floor, so
     the resulting catalog depends on it; synthetic draws are regenerated
-    until every row exceeds it, matching the pruning invariant.
+    until every row exceeds it, matching the pruning invariant. A
+    `matrix` dataset is a `prep-dataset` output, read as it is. A dataset
+    that cannot be read or built is a `ConfigError`.
     """
     if n in cache:
         return cache[n]
     d = cfg.dataset
     kind = d["kind"]
-    if kind == "synthetic":
-        size = int(d["size"])
-        mean_related = float(d.get("mean_related", 4.0))
-        seed = int(d.get("seed", cfg.seed))
-        if "min_related" in d:
-            floor = max(int(d["min_related"]), n + 1)
-            u = anchored_similarity(size, mean_related, floor, seed)
+    try:
+        if kind == "synthetic":
+            size = int(d["size"])
+            mean_related = float(d.get("mean_related", 4.0))
+            seed = int(d.get("seed", cfg.seed))
+            if "min_related" in d:
+                floor = max(int(d["min_related"]), n + 1)
+                u = anchored_similarity(size, mean_related, floor, seed)
+            else:
+                spec = SyntheticSimilaritySpec(size, mean_related, seed)
+                u = synthetic_similarity(spec, min_row_sum=n)
+        elif kind == "movielens":
+            u, _, _ = prepare_movielens(d["path"], theta=float(d.get("theta", 0.6)),
+                                        list_size=n)
+        elif kind == "lastfm":
+            u, _, _ = prepare_lastfm(d["path"], list_size=n)
         else:
-            spec = SyntheticSimilaritySpec(size, mean_related, seed)
-            u = synthetic_similarity(spec, min_row_sum=n)
-    elif kind == "movielens":
-        u, _, _ = prepare_movielens(d["path"], theta=float(d.get("theta", 0.6)),
-                                    list_size=n)
-    else:
-        u, _, _ = prepare_lastfm(d["path"], list_size=n)
+            u = SimilarityMatrix(load_matrix(d["path"]))
+    except (OSError, RuntimeError, ValueError) as exc:
+        raise ConfigError(f"{kind} dataset: {exc}") from exc
     cache[n] = u
     return u
 

@@ -2,16 +2,17 @@
 
 Two policies are provided. The myopic policy minimizes the expected cost
 of the next request only; it decomposes into one small LP per row,
-solved exactly by a parametric greedy with bisection on the quality
-multiplier. The stationary policy (`cars_solve`) minimizes the long-run
-cost by alternating convex minimizations of an augmented Lagrangian in
-which the stationarity condition of the request chain enters as a
-penalized equality residual. Its distribution step is a QP over the
-probability simplex, solved iteratively by `solve_qp`; a distribution
-step stopped at its step cap logs a warning. Its recommendation step
-needs no general QP: the penalized objective depends on Y only through
-``Y^T pi``, so a block descent solves it row by row, each row an exact
-projection onto its polytope with the quality floor.
+solved exactly by a parametric greedy that walks the breakpoints of the
+row's dual in the quality multiplier until it reaches the kink where the
+selected quality crosses the floor. The stationary policy (`cars_solve`)
+minimizes the long-run cost by alternating convex minimizations of an
+augmented Lagrangian in which the stationarity condition of the request
+chain enters as a penalized equality residual. Its distribution step is
+a QP over the probability simplex, solved iteratively by `solve_qp`; a
+distribution step stopped at its step cap logs a warning. Its
+recommendation step needs no general QP: the penalized objective depends
+on Y only through ``Y^T pi``, so a block descent solves it row by row,
+each row an exact projection onto its polytope with the quality floor.
 """
 
 import logging
@@ -50,6 +51,10 @@ _log = logging.getLogger("cacherec")
 # Newton steps on one row's floor multiplier.
 _Y_SWEEPS = 4
 _ROW_NEWTON_STEPS = 16
+# Step cap of one myopic row LP's breakpoint walk. A step that does not
+# stop moves a bracket end to a selection whose quality lies strictly
+# between the two ends', so the walk ends; the cap bounds it under roundoff.
+_ROW_WALK_STEPS = 100
 
 
 class InfeasibleQualityError(ValueError):
@@ -134,8 +139,8 @@ def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
 def _row_greedy(x, u, n, self_idx, t, prefer_high_quality):
     """Cheapest N-subset at reduced cost x - t*u, one of the two tie rules.
 
-    Returns the row vector (mass 1/N on the selection) and its quality.
-    Ties in the reduced cost break toward higher similarity when
+    Returns the row vector (mass 1/N on the selection), its quality and
+    its cost. Ties in the reduced cost break toward higher similarity when
     `prefer_high_quality`, then toward the lowest index either way.
     """
     r = x - t * u
@@ -145,7 +150,11 @@ def _row_greedy(x, u, n, self_idx, t, prefer_high_quality):
         order = np.lexsort((idx, -u, r))
     else:
         order = np.lexsort((idx, r))
-    sel = order[:n]
+    return _selection(x, u, n, order[:n])
+
+
+def _selection(x, u, n, sel):
+    """Row with mass 1/N on the indices `sel`, its quality and its cost."""
     y = np.zeros(x.size)
     y[sel] = 1.0 / n
     return y, float(u[sel].sum()) / n, float(x[sel].sum()) / n
@@ -155,48 +164,50 @@ def _solve_row_lp(x, u, n, self_idx, q):
     """Exact row LP: min sum y*x s.t. sum y = 1, 0 <= y <= 1/N, y[self]=0,
     sum y*u >= q.
 
-    Parametric greedy: for a multiplier t on the quality constraint the
-    optimum selects the N smallest reduced costs x - t*u. The achieved
-    quality is nondecreasing in t, so bisection finds the critical
-    multiplier and the final point blends the two adjacent greedy
-    solutions so the quality lands exactly on the floor. Both blend ends
-    minimize the same reduced cost, which makes the blend optimal.
+    Parametric greedy: for a multiplier t >= 0 on the quality constraint
+    the optimum selects the N smallest reduced costs x - t*u. The dual
+    ``D(t) = min_S sum_S (x - t*u)/N + t*q`` is concave and piecewise
+    linear; a selection S of cost c_S and quality g_S supports it with
+    the line ``c_S - t*g_S`` (plus t*q). A breakpoint walk brackets the
+    kink where the selected quality crosses the floor: the low end's
+    selection falls short of it, the high end's (at first the
+    quality-maximal selection) meets it. Each step evaluates the greedy
+    where the two ends' lines meet. A selection no cheaper than the lines
+    there, up to a relative 1e-12, means the meeting point is the kink;
+    a cheaper one becomes the end its quality belongs to. Both ends are
+    optimal at the kink, so the blend of the two that lands the quality
+    exactly on the floor is optimal.
     """
     y_cost, g_cost, _ = _row_greedy(x, u, n, self_idx, 0.0, False)
     if g_cost >= q - 1e-12:
         return y_cost
-    y_hi0, g_hi0, _ = _row_greedy(x, u, n, self_idx, 0.0, True)
-    if g_hi0 >= q:
-        theta = (q - g_cost) / (g_hi0 - g_cost)
-        return (1.0 - theta) * y_cost + theta * y_hi0
-
-    gaps = np.diff(np.unique(u))
-    gaps = gaps[gaps > 1e-15]
-    if gaps.size == 0:
-        raise InfeasibleQualityError(
-            f"row {self_idx}: all similarities equal, quality {q} unreachable "
-            f"(attains {g_cost:.6f})"
-        )
-    t_hi = (float(x.max() - x.min()) + 1.0) / float(gaps.min())
-    y_top, g_top, _ = _row_greedy(x, u, n, self_idx, t_hi, True)
-    if g_top < q - 1e-9:
-        raise InfeasibleQualityError(
-            f"row {self_idx}: quality floor {q} exceeds best attainable {g_top:.6f}"
-        )
-    t_lo = 0.0
-    for _ in range(200):
-        if t_hi - t_lo <= 1e-13 * (1.0 + t_hi):
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        _, g_mid, _ = _row_greedy(x, u, n, self_idx, mid, True)
-        if g_mid >= q:
-            t_hi = mid
-        else:
-            t_lo = mid
-    y_lo, g_lo, _ = _row_greedy(x, u, n, self_idx, t_lo, True)
-    y_hi, g_hi, _ = _row_greedy(x, u, n, self_idx, t_hi, True)
+    y_lo, g_lo, c_lo = _row_greedy(x, u, n, self_idx, 0.0, True)
     if g_lo >= q:
-        return y_lo
+        theta = (q - g_cost) / (g_lo - g_cost)
+        return (1.0 - theta) * y_cost + theta * y_lo
+
+    # the limit t -> inf of the greedy: highest similarity, then cheapest
+    key = u.copy()
+    key[self_idx] = -np.inf
+    top = np.lexsort((np.arange(x.size), x, -key))[:n]
+    y_hi, g_hi, c_hi = _selection(x, u, n, top)
+    if g_hi < q - 1e-9 or g_hi <= g_lo:
+        raise InfeasibleQualityError(
+            f"row {self_idx}: quality floor {q} exceeds best attainable {g_hi:.6f}"
+        )
+    for _ in range(_ROW_WALK_STEPS):
+        t = (c_hi - c_lo) / (g_hi - g_lo)
+        y, g, c = _row_greedy(x, u, n, self_idx, t, True)
+        if c - t * g >= c_lo - t * g_lo - 1e-12 * (c_hi + t * g_hi):
+            break
+        if g >= q:
+            y_hi, g_hi, c_hi = y, g, c
+        else:
+            y_lo, g_lo, c_lo = y, g, c
+    else:
+        _log.warning(
+            "row %d: breakpoint walk stopped at its %d-step cap", self_idx, _ROW_WALK_STEPS
+        )
     theta = min(1.0, (q - g_lo) / (g_hi - g_lo))
     return (1.0 - theta) * y_lo + theta * y_hi
 
@@ -205,9 +216,9 @@ def myopic_solve(inputs: OptimInputs) -> RecMatrix:
     """Minimize the expected cost of the next request only.
 
     The one-step objective separates over rows, so each row solves its
-    own small LP over the row polytope with its quality floor. Solutions
-    are exact (parametric greedy), deterministic, and lowest-index on
-    cost ties.
+    own small LP over the row polytope with its quality floor. Each row
+    LP is solved exactly by a few greedy selections (a breakpoint walk on
+    its dual), deterministically, and lowest-index on cost ties.
     """
     u = np.asarray(inputs.similarity, dtype=float)
     x = np.asarray(inputs.cost, dtype=float)

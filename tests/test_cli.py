@@ -194,6 +194,39 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
 
+DATASET_FAILURES = {
+    # no draw of this size gives every row more than 4 relations
+    "synthetic-degree-floor": (
+        {"kind": "synthetic", "size": 60, "mean_related": 6.0, "seed": 3},
+        "synthetic dataset: no draw with min row sum > 4",
+    ),
+    "movielens-missing-file": (
+        {"kind": "movielens", "path": "absent.csv"},
+        "movielens dataset: ",
+    ),
+    "matrix-missing-file": (
+        {"kind": "matrix", "path": "absent.txt"},
+        "matrix dataset: ",
+    ),
+}
+
+
+class TestDatasetErrors:
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("case", sorted(DATASET_FAILURES))
+    def test_dataset_failure_exits_one_with_message(self, tmp_path, capsys,
+                                                    command, case):
+        dataset, message = DATASET_FAILURES[case]
+        if "path" in dataset:
+            dataset = dict(dataset, path=str(tmp_path / dataset["path"]))
+        cfg = write_scenario(tmp_path, dataset=dataset, list_sizes=[4])
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: " + message)
+
+
 class TestThreadResolution:
     def test_threads_flag(self, tmp_path):
         cfg = write_scenario(tmp_path)
@@ -325,6 +358,32 @@ class TestPrepDatasetCommand:
         )
         assert rc == 2
         assert "preparation failed" in capsys.readouterr().err
+
+    def test_prepared_matrix_runs_like_raw_file(self, tmp_path):
+        rng = np.random.default_rng(9)
+        src = tmp_path / "triplets.tsv"
+        src.write_text("".join(
+            f"t{i}\tt{j}\t{rng.uniform(0.3, 1.0):.3f}\n"
+            for i in range(30) for j in range(i + 1, 30) if rng.uniform() < 0.3
+        ), encoding="utf-8")
+        prepped = tmp_path / "prepped"
+        rc = cli.main(["prep-dataset", "--lastfm", str(src), "--out", str(prepped),
+                       "--list-size", "3"])
+        assert rc == 0
+        rows = {}
+        for kind, path in (("lastfm", src), ("matrix", prepped / "similarity.txt")):
+            cfg = write_scenario(tmp_path, dataset={"kind": kind, "path": str(path)},
+                                 list_sizes=[3], qualities=[0.6, 0.75],
+                                 policies=["norec", "myopic", "cars"],
+                                 cars={"max_iter": 3})
+            out = tmp_path / kind
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            rows[kind] = read_results(out / "results.csv")
+            for r in rows[kind]:
+                assert r["error"] == ""
+                r.pop("wall_millis")
+        assert rows["matrix"] == rows["lastfm"]
+        assert {r["catalog_size"] for r in rows["matrix"]} == {"30"}
 
     def test_prep_requires_a_source(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

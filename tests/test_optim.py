@@ -1,5 +1,6 @@
 """Tests for the myopic LP policy and the alternating stationary-cost solver."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -14,6 +15,7 @@ from cacherec import (
     RecMatrix,
     RequestModel,
     SimilarityMatrix,
+    anchored_similarity,
     augmented_lagrangian,
     cars_pi_step,
     cars_solve,
@@ -25,8 +27,10 @@ from cacherec import (
     stationary_direct,
     top_n_similarity,
     validate_rec_matrix,
+    zipf_popularity,
 )
-from cacherec.optim import _quality_row_prox
+from cacherec import optim
+from cacherec.optim import _quality_row_prox, _solve_row_lp
 
 from oracles import (
     best_deterministic_cost,
@@ -196,6 +200,119 @@ class TestMyopicSolve:
         y1 = np.asarray(myopic_solve(inp))
         y2 = np.asarray(myopic_solve(scaled))
         npt.assert_allclose(y1, y2, atol=1e-9)
+
+
+def anchored_instance(k, n, q, cached, seed):
+    """Binary relatedness graph, Zipf popularity, unit cost outside the
+    `cached` most popular contents (Zipf ranks content 0 first)."""
+    u = anchored_similarity(k, 8.0, n + 1, seed=seed)
+    x = np.ones(k)
+    x[:cached] = 0.0
+    return OptimInputs(u, RequestModel(zipf_popularity(k, 0.6), 0.8, n), x, q)
+
+
+def three_level_instance():
+    """Similarities and costs in {0, 0.5, 1}: ties in both."""
+    rng = np.random.default_rng(17)
+    k = 40
+    u = np.triu(rng.choice([0.0, 0.5, 1.0], size=(k, k), p=[0.5, 0.3, 0.2]), 1)
+    x = rng.choice([0.0, 0.5, 1.0], size=k)
+    return OptimInputs(u + u.T, RequestModel(zipf_popularity(k, 0.8), 0.7, 3), x, 0.6)
+
+
+class TestMyopicTieRule:
+    """Myopic breaks one-step cost ties toward the lowest index, and that
+    rule moves its long-run hit ratio; these digests make any change to
+    the rule visible."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: anchored_instance(60, 4, 0.8, 6, seed=5),
+         "01649bc0eaf5fd2f8262fa2824a77a41224521c5bc381d1f80e88a7e5ece2fc7"),
+        (three_level_instance,
+         "021521928ab8ab776223620f127ad805899022fb5d6131de0ca0dcf853daf508"),
+    ], ids=["binary-anchored", "three-level"])
+    def test_output_digest_pinned(self, make, digest):
+        y = np.ascontiguousarray(np.asarray(myopic_solve(make())), dtype=float)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
+
+
+def random_row(rng, kind):
+    """One row LP: similarities of the given kind, self index, list size."""
+    k = int(rng.integers(5, 61))
+    n = int(rng.integers(1, min(6, k - 1) + 1))
+    if kind == "continuous":
+        u = rng.uniform(0.0, 1.0, k)
+    elif kind == "binary":
+        u = (rng.uniform(size=k) < 0.4).astype(float)
+    elif kind == "three-level":
+        u = rng.choice([0.0, 0.5, 1.0], size=k)
+    else:
+        u = np.round(rng.uniform(0.0, 1.0, k), 2)
+    x = [rng.uniform(0.0, 1.0, k), (rng.uniform(size=k) < 0.3).astype(float),
+         np.round(rng.uniform(0.0, 1.0, k), 1)][int(rng.integers(3))]
+    i = int(rng.integers(k))
+    u[i] = 0.0
+    return x, u, n, i
+
+
+def row_best_quality(u, n, i):
+    return float(np.sort(np.delete(u, i))[::-1][:n].sum()) / n
+
+
+def row_linprog(x, u, n, i, q):
+    bounds = [(0.0, 0.0 if j == i else 1.0 / n) for j in range(x.size)]
+    res = linprog(x, A_ub=-u[None, :], b_ub=[-q], A_eq=np.ones((1, x.size)),
+                  b_eq=[1.0], bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+ROW_KINDS = ["continuous", "binary", "three-level", "two-decimal"]
+
+
+class TestRowLp:
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_matches_linprog(self, kind):
+        rng = np.random.default_rng(ROW_KINDS.index(kind) + 40)
+        for trial in range(100):
+            x, u, n, i = random_row(rng, kind)
+            best = row_best_quality(u, n, i)
+            q = [best, best - 1e-7, rng.uniform(0.0, best)][trial % 3]
+            y = _solve_row_lp(x, u, n, i, q)
+            assert abs(y.sum() - 1.0) <= 1e-12, trial
+            assert y.min() >= 0.0 and y.max() <= 1.0 / n + 1e-15 and y[i] == 0.0, trial
+            assert float(u @ y) >= q - 1e-9, trial
+            assert abs(float(x @ y) - row_linprog(x, u, n, i, q)) <= 1e-9, trial
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_unreachable_floor_raises(self, kind):
+        rng = np.random.default_rng(ROW_KINDS.index(kind) + 50)
+        for _ in range(20):
+            x, u, n, i = random_row(rng, kind)
+            q = row_best_quality(u, n, i) + 1e-6
+            with pytest.raises(InfeasibleQualityError):
+                _solve_row_lp(x, u, n, i, q)
+
+    def test_equal_similarities_raise(self):
+        u = np.full(6, 0.5)
+        u[2] = 0.0
+        with pytest.raises(InfeasibleQualityError):
+            _solve_row_lp(np.linspace(0.0, 1.0, 6), u, 2, 2, 0.7)
+
+    def test_few_greedy_calls_per_binding_row(self, monkeypatch):
+        calls = np.zeros(200, dtype=int)
+        greedy = optim._row_greedy
+
+        def counted(x, u, n, self_idx, t, prefer_high_quality):
+            calls[self_idx] += 1
+            return greedy(x, u, n, self_idx, t, prefer_high_quality)
+
+        monkeypatch.setattr(optim, "_row_greedy", counted)
+        myopic_solve(anchored_instance(200, 4, 0.8, 10, seed=7))
+        binding = calls[calls > 1]
+        assert binding.size >= 100
+        assert binding.max() <= 6
 
 
 class TestResidual:
@@ -478,6 +595,17 @@ class TestSolverWarnings:
             cars_y_step(full / full.sum(), lam, 2.0, inp)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "block descent stopped" in caplog.records[0].getMessage()
+
+    def test_row_walk_at_step_cap_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(optim, "_ROW_WALK_STEPS", 0)
+        rng = np.random.default_rng(21)
+        u = rng.uniform(0.0, 1.0, 30)
+        u[0] = 0.0
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            y = _solve_row_lp(rng.uniform(0.0, 1.0, 30), u, 3, 0, 0.9)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "breakpoint walk stopped" in caplog.records[0].getMessage()
+        assert float(u @ y) >= 0.9 - 1e-12
 
 
 class TestCarsSolve:
