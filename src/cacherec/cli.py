@@ -5,8 +5,9 @@ Three subcommands: `run` executes a sweep config and writes results.csv,
 solver at the first grid point, and `prep-dataset` turns a raw ratings
 or triplet file into a pruned relatedness matrix plus provenance.
 
-Exit codes: 0 success, 1 configuration error, 2 partial or computational
-failure (some grid points errored, or the traced solve failed).
+Exit codes: 0 success, 1 configuration or input error, 2 partial or
+computational failure (some grid points errored, or the traced solve
+failed).
 """
 
 import argparse
@@ -159,8 +160,8 @@ def _cmd_prep(args) -> int:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"preparation failed: {exc}", file=sys.stderr)
-        return 2
+        kind = "movielens" if args.movielens else "lastfm"
+        raise ConfigError(f"{kind} dataset: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(out / "similarity.txt", u)
     with open(out / "kept_ids.txt", "w", encoding="utf-8") as fh:

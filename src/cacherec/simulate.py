@@ -1,11 +1,20 @@
 """Monte-Carlo engine for the sequential request model.
 
 Sessions start from the popularity distribution; each later request
-follows the recommender with the model's follow probability, picking
-uniformly from a recommendation list drawn by systematic (circular
-start) sampling so each item's inclusion probability is exactly
-``N * y_ij``. All randomness flows from one seeded generator, so runs
-are bit-reproducible.
+follows the recommender with the model's follow probability and reverts
+to the popularity otherwise. A follow picks uniformly from a list drawn
+by systematic (circular start) sampling with inclusion masses
+``N * y_i``, and item ``j`` lands in that list with probability
+``N * y_ij``; so the followed item is ``j`` with probability
+``N * y_ij / N = y_ij``, and the simulator draws it as one inverse-CDF
+draw from row ``y_i`` without building the list. `sample_rec_list`
+builds the list itself when the whole list is wanted.
+
+`simulate` steps every session in lockstep: all session lengths are
+drawn first, the sessions are ordered longest first, and each position
+in a session is a handful of numpy operations over the sessions still
+running. All randomness flows from one seeded generator, so runs are
+bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -96,43 +105,76 @@ def sample_rec_list(y_row, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     y = np.asarray(y_row, dtype=float)
     z = n * y
-    if z.min() < -1e-9 or z.max() > 1.0 + 1e-6 or abs(z.sum() - n) > 1e-6 * n:
+    lo, hi, total = z.min(), z.max(), z.sum()
+    if lo < -1e-9 or hi > 1.0 + 1e-6 or abs(total - n) > 1e-6 * n:
         raise ValueError(
-            f"infeasible inclusion marginals: sum {z.sum():.9f} (need {n}), "
-            f"max {z.max():.9f} (cap 1)"
+            f"infeasible inclusion marginals: sum {total:.9f} (need {n}), "
+            f"max {hi:.9f} (cap 1)"
         )
-    cum = _inclusion_table(y, n)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(z, 0.0, 1.0, out=z)
+        total = z.sum()
+    cum = _inclusion_table(z, n, total)
     picks = np.searchsorted(cum, rng.random() + np.arange(n), side="right")
-    picks = np.minimum(picks, y.size - 1)
-    if np.unique(picks).size != n:  # pragma: no cover - roundoff pathologies only
-        picks = _dedupe(picks, z)
+    if picks[-1] == y.size:  # threshold rounded onto the table's end
+        picks[-1] = np.flatnonzero(y > 0.0)[-1]
+    if n > 1 and not (picks[1:] > picks[:-1]).all():  # pragma: no cover
+        picks = _dedupe(picks, y)  # roundoff pathologies only
     return picks
 
 
-def _inclusion_table(y, n: int) -> np.ndarray:
-    """Cumulative inclusion masses of a row (or of each row) of `y`.
+def _inclusion_table(z, n: int, total) -> np.ndarray:
+    """Cumulative inclusion masses of a row (or of each row), built in place.
 
-    ``n*y`` is clipped to [0, 1] and rescaled to sum to exactly `n`, and
-    the last edge is pinned to `n` against roundoff, so the systematic
-    thresholds u, u+1, ..., u+n-1 always land inside the table.
+    `z` holds ``n*y`` already clipped to [0, 1] and `total` its row sums.
+    Each row is rescaled to sum to exactly `n`, and its last edge is
+    pinned to `n` against roundoff, so the systematic thresholds u, u+1,
+    ..., u+n-1 always land inside the table.
     """
-    z = np.clip(n * y, 0.0, 1.0)
-    cum = np.cumsum(z * (n / z.sum(axis=-1, keepdims=True)), axis=-1)
-    cum[..., -1] = n
-    return cum
+    np.multiply(z, n / total, out=z)
+    np.cumsum(z, axis=-1, out=z)
+    z[..., -1] = n
+    return z
 
 
-def _dedupe(picks, z):
+def _dedupe(picks, y):
     """Deterministically repair duplicate picks (roundoff edge case)."""
     used = set()
     out = []
     for p in picks:
         p = int(p)
-        while p in used or z[p] <= 0.0:
-            p = (p + 1) % z.size
+        while p in used or y[p] <= 0.0:
+            p = (p + 1) % y.size
         used.add(p)
         out.append(p)
     return np.asarray(sorted(out))
+
+
+def _session_lengths(cfg: SessionConfig, rng: np.random.Generator) -> np.ndarray:
+    """Session lengths summing to exactly ``cfg.total_requests``, longest first.
+
+    Fixed sessions all have length ``session_param``; geometric lengths
+    with mean ``session_param`` are drawn in chunks until they cover the
+    total. Either way the last session is cut so the lengths sum to the
+    total.
+    """
+    total = cfg.total_requests
+    if cfg.session_kind == "fixed":
+        length = int(cfg.session_param)
+        lengths = np.full(-(-total // length), length, dtype=np.int64)
+    else:
+        chunk = int(total / cfg.session_param) + 1
+        parts = []
+        drawn = 0
+        while drawn < total:
+            parts.append(rng.geometric(1.0 / cfg.session_param, size=chunk))
+            drawn += int(parts[-1].sum())
+        lengths = np.concatenate(parts)
+    ends = np.cumsum(lengths)
+    last = int(np.searchsorted(ends, total))
+    lengths = lengths[: last + 1]
+    lengths[-1] -= ends[last] - total
+    return np.sort(lengths)[::-1]
 
 
 def simulate(
@@ -145,9 +187,20 @@ def simulate(
     """Run sessions until the configured number of requests is consumed.
 
     Every session opens with a draw from the popularity; each subsequent
-    request follows a fresh recommendation list with probability a
-    (picking uniformly within it) and reverts to the popularity
-    otherwise. Quality is averaged over followed transitions only.
+    request follows the recommender with probability a and reverts to
+    the popularity otherwise. A follow from `i` is a draw from row
+    ``y_i``, which is the law of a uniform pick from a systematic list
+    with inclusion masses ``N * y_i`` (see the module docstring).
+    Quality is averaged over followed transitions only.
+
+    All sessions advance together. The generator first gives the session
+    lengths, then one uniform per session for its opener; then, at each
+    position t >= 1, one uniform ``v`` and one follow coin per session
+    still running. A follower from `i` inverts row i's cumulative table
+    at ``N * v``; the others invert the popularity at ``v``. The
+    positive-mass entries of every row's table, shifted up by ``N * i``,
+    form one increasing array, so one `np.searchsorted` serves all
+    followers.
     """
     yv = np.asarray(y, dtype=float)
     uv = np.asarray(u, dtype=float)
@@ -161,40 +214,48 @@ def simulate(
     if cache.cached:
         is_cached[np.fromiter(cache.cached, dtype=int)] = True
 
-    row_cum = _inclusion_table(yv, n)
+    # the positive-mass columns of every row, row after row, with row i's
+    # cumulative table shifted up by N*i: one increasing array
+    rows, cols = np.nonzero(yv > 0.0)
+    z = np.clip(n * yv, 0.0, 1.0)
+    table = _inclusion_table(z, n, z.sum(axis=-1, keepdims=True))
+    table += n * np.arange(k)[:, None]
+    stacked = table[rows, cols]
+    # a threshold rounded past a row's end is clipped back to the row's
+    # last entry, never into the next row or onto a zero-mass column
+    row_end = np.cumsum(np.bincount(rows, minlength=k)) - 1
     p0_cum = np.cumsum(p0)
     p0_cum[-1] = 1.0
 
     rng = np.random.default_rng(cfg.seed)
-    offsets = np.arange(n)
+    lengths = _session_lengths(cfg, rng)
+    # live[t]: sessions longer than t; longest first, they are a prefix
+    live = lengths.size - np.cumsum(np.bincount(lengths))
 
     total = cfg.total_requests
     contents = np.empty(total, dtype=np.int64)
+    current = np.searchsorted(p0_cum, rng.random(lengths.size), side="right")
+    contents[: current.size] = current
+    done = current.size
     quality_sum = 0.0
     followed = 0
-    step = 0
-    while step < total:
-        if cfg.session_kind == "fixed":
-            length = int(cfg.session_param)
-        else:
-            length = int(rng.geometric(1.0 / cfg.session_param))
-        length = min(length, total - step)
-        current = int(np.searchsorted(p0_cum, rng.random(), side="right"))
-        contents[step] = current
-        step += 1
-        for _ in range(length - 1):
-            if rng.random() < a:
-                picks = np.searchsorted(
-                    row_cum[current], rng.random() + offsets, side="right"
-                )
-                nxt = int(min(picks[rng.integers(n)], k - 1))
-                quality_sum += uv[current, nxt]
-                followed += 1
-            else:
-                nxt = int(np.searchsorted(p0_cum, rng.random(), side="right"))
-            contents[step] = nxt
-            current = nxt
-            step += 1
+    for t in range(1, lengths[0]):
+        running = live[t]
+        current = current[:running]
+        v = rng.random(running)
+        follow = rng.random(running) < a
+        stay = ~follow
+        nxt = np.empty_like(current)
+        nxt[stay] = np.searchsorted(p0_cum, v[stay], side="right")
+        src = current[follow]
+        pos = np.searchsorted(stacked, n * (src + v[follow]), side="right")
+        dst = cols[np.minimum(pos, row_end[src])]
+        nxt[follow] = dst
+        quality_sum += float(uv[src, dst].sum())
+        followed += src.size
+        contents[done : done + running] = nxt
+        done += running
+        current = nxt
 
     hits = int(is_cached[contents].sum())
     return SimMetrics(

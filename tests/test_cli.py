@@ -349,15 +349,20 @@ class TestPrepDatasetCommand:
         assert rc == 1
         assert "cannot read input" in capsys.readouterr().err
 
-    def test_prep_everything_pruned_exits_two(self, tmp_path, capsys):
-        # degree 5 in a 6-node complete graph cannot beat a floor of 5
-        src = lastfm_file(tmp_path)
+    @pytest.mark.parametrize("nodes,list_size", [(6, 5), (3, 4)])
+    def test_prep_everything_pruned_exits_one(self, tmp_path, capsys,
+                                              nodes, list_size):
+        # degree nodes-1 in a complete graph cannot beat a floor of list_size
+        src = lastfm_file(tmp_path, nodes=nodes)
         rc = cli.main(
             ["prep-dataset", "--lastfm", str(src), "--out", str(tmp_path / "o"),
-             "--list-size", "5"]
+             "--list-size", str(list_size)]
         )
-        assert rc == 2
-        assert "preparation failed" in capsys.readouterr().err
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: lastfm dataset: ")
+        assert not (tmp_path / "o").exists()
 
     def test_prepared_matrix_runs_like_raw_file(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo session simulator and Madow list sampling."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +19,12 @@ from cacherec import (
     top_c_cache,
     zipf_popularity,
 )
+
+
+# the largest follow probability below 1: a uniform from the generator
+# falls below it unless it is exactly 1 - 2**-53, so every seeded stream
+# used here follows on every request after a session's first
+ALWAYS = float(np.nextafter(1.0, 0.0))
 
 
 def swap_instance(a=0.6):
@@ -62,6 +70,16 @@ class TestSampleRecList:
         for _ in range(400):
             assert 0 not in sample_rec_list(y, 2, rng)
 
+    def test_threshold_rounded_onto_table_end_stays_on_mass(self):
+        # start u = 1 - 2**-53 makes the last threshold u + 1 round to 2,
+        # the table's end; the pick must be the last item with mass
+        class TopStart:
+            def random(self):
+                return ALWAYS
+
+        picks = sample_rec_list(np.array([0.5, 0.5, 0.0]), 2, TopStart())
+        npt.assert_array_equal(picks, [0, 1])
+
     def test_returns_n_distinct(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -90,6 +108,24 @@ class TestSampleRecList:
         z = n * y
         sigma = np.sqrt(np.maximum(z * (1 - z), 1e-12) / draws)
         assert np.all(np.abs(freq - z) <= 3.0 * sigma + 1e-9)
+
+    def test_seeded_draws_are_pinned(self):
+        # sha256 of 2000 seeded draws; a faster sampler must draw the same lists
+        rng = np.random.default_rng(77)
+        rows = []
+        for k, n in ((12, 2), (12, 3), (12, 4), (7, 1), (30, 4)):
+            w = rng.uniform(0.5, 1.0, k)
+            w[int(rng.integers(k))] = 0.0
+            rows.append((w / w.sum(), n))
+        rows.append((np.array([0.0, 0.5, 0.0, 0.5]), 2))
+        rng = np.random.default_rng(2000)
+        digest = hashlib.sha256()
+        for i in range(2000):
+            y, n = rows[i % len(rows)]
+            digest.update(sample_rec_list(y, n, rng).astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "e9915e2cf1bb5db99a94335a486a05cbd87fad8983fc496fff5b4f19e39f2c6c"
+        )
 
     def test_infeasible_marginals_rejected(self):
         rng = np.random.default_rng(4)
@@ -182,6 +218,104 @@ class TestSimulate:
             SessionConfig(total_requests=0)
         with pytest.raises(ValueError, match="session_kind"):
             SessionConfig(total_requests=10, session_kind="poisson")
+
+
+def cycle_instance(k, a=ALWAYS, quality=0.75):
+    """N=1 recommender that always shows i+1 mod k after i."""
+    y = RecMatrix(np.roll(np.eye(k), 1, axis=1), 1)
+    u = SimilarityMatrix(quality * np.asarray(y))
+    m = RequestModel(zipf_popularity(k, 0.8), a, 1)
+    return y, u, m
+
+
+class TestLockstep:
+    def test_cycle_visits_every_content_once_per_session(self):
+        # row k-1 follows to column 0; its own last column has zero mass
+        k = 9
+        y, u, m = cycle_instance(k)
+        cfg = SessionConfig(total_requests=50 * k, session_param=k, seed=20)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        npt.assert_array_equal(metrics.per_content_counts, np.full(k, 50))
+        assert metrics.followed == 50 * (k - 1)
+        assert metrics.mean_quality_served == 0.75
+
+    def test_threshold_rounded_onto_row_end_stays_in_row(self, monkeypatch):
+        # the largest uniform below 1 puts every follow threshold N*(i + v)
+        # on row i's end after rounding; the follow must still be i+1
+        class EdgeStream:
+            def __init__(self, seed):
+                self.calls = 0
+
+            def random(self, size):
+                # openers, then (v, follow coin) at every position
+                self.calls += 1
+                top = self.calls > 1 and self.calls % 2 == 0
+                return np.full(size, ALWAYS if top else 0.0)
+
+        monkeypatch.setattr(np.random, "default_rng", EdgeStream)
+        k = 9
+        y, u, m = cycle_instance(k, a=0.5)
+        cfg = SessionConfig(total_requests=20 * k, session_param=k)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        npt.assert_array_equal(metrics.per_content_counts, np.full(k, 20))
+        assert metrics.followed == 20 * (k - 1)
+
+    def test_follow_law_is_row_of_y(self):
+        # sessions of two requests: an opener from p0, then a follow from y
+        k, n = 6, 2
+        w = np.array([0.5, 0.3, 0.2])
+        vals = np.zeros((k, k))
+        for i in range(k):
+            vals[i, [(i + 1) % k, (i + 2) % k, (i + 4) % k]] = w
+        y = RecMatrix(vals, n)
+        p0 = np.asarray(zipf_popularity(k, 0.9))
+        m = RequestModel(p0, ALWAYS, n)
+        u = SimilarityMatrix(np.asarray(vals) > 0)
+        total = 200_000
+        cfg = SessionConfig(total_requests=total, session_param=2, seed=21)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        freq = metrics.per_content_counts / total
+        # per session, opener and follow land on j together with mass
+        # p0_j + (p0 Y)_j, and never both (zero diagonal)
+        mass = p0 + p0 @ vals
+        sigma = np.sqrt(mass * (1.0 - mass) / (total / 2)) / 2
+        assert np.all(np.abs(freq - mass / 2) <= 5.0 * sigma)
+
+    @pytest.mark.parametrize("length,total", [(1, 10), (7, 7), (7, 100), (200, 4001)])
+    def test_every_later_request_follows(self, length, total):
+        y, u, m = cycle_instance(5)
+        cfg = SessionConfig(total_requests=total, session_param=length, seed=22)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        assert metrics.followed == total - -(-total // length)
+
+    @pytest.mark.parametrize("total", [1, 7, 4001])
+    def test_geometric_sessions_cut_to_total(self, total):
+        y, u, m = cycle_instance(5)
+        cfg = SessionConfig(total_requests=total, session_kind="geometric",
+                            session_param=5, seed=23)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        assert metrics.requests == total
+        assert metrics.per_content_counts.shape == (5,)
+        assert int(metrics.per_content_counts.sum()) == total
+        assert metrics.followed <= total - 1
+
+    def test_zero_mass_columns_never_followed_at_scale(self):
+        # no row puts mass on the last column; u scores 1 only on
+        # zero-mass entries, so any follow onto one lifts the mean quality
+        k, n = 2000, 4
+        w = np.array([0.24, 0.22, 0.2, 0.18, 0.16])
+        vals = np.zeros((k, k))
+        rows = np.arange(k)[:, None]
+        vals[rows, (rows + 1 + 7 * np.arange(w.size)) % (k - 1)] = w
+        y = RecMatrix(vals, n)
+        sim = (vals == 0.0).astype(float)
+        np.fill_diagonal(sim, 0.0)
+        u = SimilarityMatrix(sim)
+        m = RequestModel(zipf_popularity(k, 0.6), ALWAYS, n)
+        cfg = SessionConfig(total_requests=1_001_000, session_param=1001, seed=24)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
+        assert metrics.followed == 1_000_000
+        assert metrics.mean_quality_served == 0.0
 
 
 class TestEmpiricalDistribution:
