@@ -8,6 +8,8 @@ generators cover the dataset-free experiments.
 """
 
 import csv
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ __all__ = [
     "prepare_lastfm",
 ]
 
+_log = logging.getLogger("cacherec")
+
 
 @dataclass(frozen=True)
 class RatingsTable:
@@ -50,10 +54,14 @@ class RatingsTable:
         if users.size == 0:
             raise ValueError("ratings table is empty")
         lo, hi = self.scale
-        if ratings.min() < lo or ratings.max() > hi:
+        if not (ratings.min() >= lo and ratings.max() <= hi):  # NaN fails too
             raise ValueError(f"ratings must lie in [{lo}, {hi}]")
-        pairs = np.stack([users, items], axis=1)
-        if np.unique(pairs, axis=0).shape[0] != pairs.shape[0]:
+        # one int64 key per pair, from dense indices rather than raw ids,
+        # so it cannot overflow whatever the ids are
+        _, user_idx = np.unique(users, return_inverse=True)
+        item_vals, item_idx = np.unique(items, return_inverse=True)
+        key = np.sort(user_idx.astype(np.int64) * item_vals.size + item_idx)
+        if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate (user, item) pairs")
         object.__setattr__(self, "user_ids", users)
         object.__setattr__(self, "item_ids", items)
@@ -110,9 +118,11 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
     """Complete the item-by-user rating matrix by item-based filtering.
 
     Missing entries become the similarity-weighted average of the user's
-    ratings on the `k` most similar items (cosine over co-rated,
-    mean-centered vectors); existing ratings are untouched. When no
-    neighbor carries weight the item's mean rating is used.
+    ratings on the `k` >= 1 most similar items (cosine over co-rated,
+    mean-centered vectors), each weight's magnitude in the denominator;
+    existing ratings are untouched. Equal similarity goes to the lower
+    item index, which is the lower item id. When no neighbor carries
+    weight the item's mean rating is used.
 
     Returns the dense item-by-user matrix, rows aligned with
     ``table.items`` and columns with ``table.users``.
@@ -121,17 +131,28 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
     users = table.users
     if items.size < 2:
         raise ValueError("need at least two items to fill by item similarity")
-    item_pos = {v: i for i, v in enumerate(items)}
-    user_pos = {v: i for i, v in enumerate(users)}
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     r = np.zeros((items.size, users.size))
     observed = np.zeros_like(r, dtype=bool)
-    for u, it, val in zip(table.user_ids, table.item_ids, table.ratings):
-        r[item_pos[it], user_pos[u]] = val
-        observed[item_pos[it], user_pos[u]] = True
+    pos = (np.searchsorted(items, table.item_ids), np.searchsorted(users, table.user_ids))
+    r[pos] = table.ratings
+    observed[pos] = True
+    del pos  # two int64 entries per rating; free them before the K x K work
 
     sim = _item_item_similarity(r, observed)
     counts = observed.sum(axis=1)
     item_mean = (r * observed).sum(axis=1) / np.maximum(counts, 1)
+
+    # order[i] lists every item by (-sim[i, j], j): a stable sort keeps
+    # equal similarities in index order. rank_t[j, i] is the place of j in
+    # order[i], so the k best rated neighbors of i are the k rated items
+    # of smallest rank, taken back through order.
+    size = items.size
+    ids = np.arange(size, dtype=np.int32)
+    order = np.argsort(-sim, axis=1, kind="stable").astype(np.int32)
+    rank_t = np.empty_like(order)
+    rank_t[order, ids[:, None]] = ids
 
     out = r.copy()
     for uj in range(users.size):
@@ -140,12 +161,16 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
         if missing.size == 0 or rated.size == 0:
             out[missing, uj] = item_mean[missing]
             continue
-        s = sim[np.ix_(missing, rated)]
-        # k most similar rated items per target, deterministic on ties
-        order = np.lexsort((np.broadcast_to(rated, s.shape), -s), axis=1)[:, :k]
-        rows = np.arange(missing.size)[:, None]
-        w = s[rows, order]
-        vals = r[rated[order], uj]
+        ranks = rank_t[rated][:, missing].T
+        if rated.size > k:
+            # the ranks in a row are distinct, so these are exactly the k smallest
+            ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
+        ranks.sort(axis=1)
+        # flat offsets of the missing rows in order and sim
+        row = missing[:, None] * size
+        nbr = order.take(row + ranks)
+        w = sim.take(row + nbr)
+        vals = r[:, uj].take(nbr)
         denom = np.abs(w).sum(axis=1)
         num = (w * vals).sum(axis=1)
         pred = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), item_mean[missing])
@@ -302,16 +327,26 @@ def load_movielens_csv(path) -> RatingsTable:
     """Read a `userId,movieId,rating,timestamp` CSV with a header row."""
     users, items, ratings = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"userId", "movieId", "rating"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        try:
+            iu, ii, ir = (header.index(name) for name in ("userId", "movieId", "rating"))
+        except ValueError:
             raise ValueError(
-                f"expected columns userId,movieId,rating[,timestamp], got {reader.fieldnames}"
-            )
+                f"expected columns userId,movieId,rating[,timestamp], got {header}"
+            ) from None
         for row in reader:
-            users.append(int(row["userId"]))
-            items.append(int(row["movieId"]))
-            ratings.append(float(row["rating"]))
+            if not row:
+                continue
+            try:
+                users.append(int(row[iu]))
+                items.append(int(row[ii]))
+                ratings.append(float(row[ir]))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"line {reader.line_num}: expected integer userId and movieId "
+                    f"and a numeric rating, got {','.join(row)!r}"
+                ) from None
     return RatingsTable(np.asarray(users), np.asarray(items), np.asarray(ratings))
 
 
@@ -331,7 +366,11 @@ def load_lastfm_triplets(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected idA<TAB>idB<TAB>score")
-            a, b, score = parts[0], parts[1], float(parts[2])
+            try:
+                score = float(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: score {parts[2]!r} is not a number") from None
+            a, b = parts[0], parts[1]
             pairs.append((a, b, score))
             ids.add(a)
             ids.add(b)
@@ -351,13 +390,21 @@ def prepare_movielens(path, theta: float = 0.6, list_size: int = 4):
     """Full rating pipeline: fill, cosine, threshold, prune.
 
     Returns the pruned relatedness matrix, the surviving item ids and a
-    provenance dictionary describing every stage.
+    provenance dictionary describing every stage. Logs each stage's
+    seconds at DEBUG on the ``cacherec`` logger.
     """
+    t0 = time.perf_counter()
     table = load_movielens_csv(path)
+    t1 = time.perf_counter()
     filled = cf_fill(table, k=10)
+    t2 = time.perf_counter()
     raw = symmetrize_max(cosine_similarity(filled))
     u = binarize(raw, theta)
+    t3 = time.perf_counter()
     pruned, mapping, sweeps = prune_with_stats(u, list_size)
+    t4 = time.perf_counter()
+    _log.debug("prepare_movielens %s: load %.3f s, fill %.3f s, similarity %.3f s, "
+               "prune %.3f s", path, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
     items = table.items
     kept_ids = [int(items[old]) for old in sorted(mapping, key=mapping.get)]
     provenance = {
@@ -373,10 +420,19 @@ def prepare_movielens(path, theta: float = 0.6, list_size: int = 4):
 
 
 def prepare_lastfm(path, list_size: int = 4):
-    """Triplet pipeline: load, positive-threshold, prune."""
+    """Triplet pipeline: load, positive-threshold, prune.
+
+    Logs each stage's seconds at DEBUG on the ``cacherec`` logger.
+    """
+    t0 = time.perf_counter()
     s, ids = load_lastfm_triplets(path)
+    t1 = time.perf_counter()
     u = binarize(s, 0.0)
+    t2 = time.perf_counter()
     pruned, mapping, sweeps = prune_with_stats(u, list_size)
+    t3 = time.perf_counter()
+    _log.debug("prepare_lastfm %s: load %.3f s, similarity %.3f s, prune %.3f s",
+               path, t1 - t0, t2 - t1, t3 - t2)
     kept_ids = [ids[old] for old in sorted(mapping, key=mapping.get)]
     provenance = {
         "source": str(path),

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this module is deliberately written from first principles
-with numpy and itertools only, using different algorithms than the
+with numpy, math and itertools only, using different algorithms than the
 package (replace-row linear solves instead of LU, exhaustive active-set
 or vertex enumeration instead of first-order iterations), so agreement
 between the two is meaningful evidence rather than a tautology.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "row_lp_oracle",
     "qp_oracle",
     "best_deterministic_cost",
+    "cf_fill_ref",
 ]
 
 
@@ -252,3 +254,47 @@ def best_deterministic_cost(x, p0, a: float, u=None, q: float = 0.0):
         pi = stationary_ref(transition_ref(y, p0, a))
         best = min(best, float(pi @ x))
     return best
+
+
+def cf_fill_ref(triples, k: int):
+    """Item-based filling of a ratings table, one pair at a time.
+
+    `triples` holds (user, item, rating). Each item's ratings are centred
+    by its own mean; the similarity of two items is the cosine of their
+    centred ratings over the users who rated both, 0 without a co-rater or
+    with a zero norm. A missing (item, user) entry is the |w|-weighted
+    average of the user's ratings on the k rated items most similar to the
+    item, ranked by (-similarity, item index), or the item's mean when
+    those weights sum to 0. Returns the item-by-user matrix over the sorted
+    item and user ids.
+    """
+    by_item = {}
+    for user, item, value in triples:
+        by_item.setdefault(item, {})[user] = float(value)
+    items = sorted(by_item)
+    users = sorted({user for rated in by_item.values() for user in rated})
+    mean = [sum(by_item[i].values()) / len(by_item[i]) for i in items]
+
+    def cosine(a, b):
+        ra, rb = by_item[items[a]], by_item[items[b]]
+        common = [user for user in users if user in ra and user in rb]
+        ca = [ra[user] - mean[a] for user in common]
+        cb = [rb[user] - mean[b] for user in common]
+        dot = sum(x * y for x, y in zip(ca, cb))
+        denom = math.sqrt(sum(x * x for x in ca) * sum(y * y for y in cb))
+        return dot / denom if denom > 0 else 0.0
+
+    sim = [[cosine(a, b) if a != b else 0.0 for b in range(len(items))]
+           for a in range(len(items))]
+    out = np.empty((len(items), len(users)))
+    for col, user in enumerate(users):
+        rated = [j for j in range(len(items)) if user in by_item[items[j]]]
+        for i in range(len(items)):
+            if user in by_item[items[i]]:
+                out[i, col] = by_item[items[i]][user]
+                continue
+            nbrs = sorted(rated, key=lambda j: (-sim[i][j], j))[:k]
+            den = sum(abs(sim[i][j]) for j in nbrs)
+            num = sum(sim[i][j] * by_item[items[j]][user] for j in nbrs)
+            out[i, col] = num / den if den > 0 else mean[i]
+    return out

@@ -435,10 +435,10 @@ def test_criterion_10_sampler_inclusion_marginals():
         n = (2, 3, 4)[row_idx % 3]
         y_row = project_row_polytope(rng.uniform(size=k), n, row_idx % k)
         z = n * np.asarray(y_row, dtype=float)
-        counts = np.zeros(k)
-        for _ in range(draws):
-            counts[sample_rec_list(y_row, n, rng)] += 1
-        freq = counts / draws
+        lists = np.empty((draws, n), dtype=np.intp)
+        for d in range(draws):
+            lists[d] = sample_rec_list(y_row, n, rng)
+        freq = np.bincount(lists.ravel(), minlength=k) / draws
         sigma = np.sqrt(z * (1.0 - z) / draws)
         excess = np.abs(freq - z) - 3.0 * sigma
         worst_excess = max(worst_excess, float(excess.max()))

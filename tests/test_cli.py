@@ -204,11 +204,19 @@ DATASET_FAILURES = {
         {"kind": "movielens", "path": "absent.csv"},
         "movielens dataset: ",
     ),
+    "movielens-short-row": (
+        {"kind": "movielens", "path": "short.csv"},
+        "movielens dataset: line 3: ",
+    ),
     "matrix-missing-file": (
         {"kind": "matrix", "path": "absent.txt"},
         "matrix dataset: ",
     ),
 }
+
+
+# a ratings file whose second data row has too few fields
+SHORT_ROW_CSV = "userId,movieId,rating,timestamp\n1,10,4.0,0\n1,11\n"
 
 
 class TestDatasetErrors:
@@ -217,6 +225,7 @@ class TestDatasetErrors:
     def test_dataset_failure_exits_one_with_message(self, tmp_path, capsys,
                                                     command, case):
         dataset, message = DATASET_FAILURES[case]
+        (tmp_path / "short.csv").write_text(SHORT_ROW_CSV, encoding="utf-8")
         if "path" in dataset:
             dataset = dict(dataset, path=str(tmp_path / dataset["path"]))
         cfg = write_scenario(tmp_path, dataset=dataset, list_sizes=[4])
@@ -340,6 +349,16 @@ class TestPrepDatasetCommand:
         prov = json.loads((out / "provenance.json").read_text(encoding="utf-8"))
         assert prov["kind"] == "movielens"
         assert prov["source_sha256"] == file_sha256(src)
+
+    def test_prep_bad_ratings_row_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "ratings.csv"
+        src.write_text(SHORT_ROW_CSV, encoding="utf-8")
+        rc = cli.main(["prep-dataset", "--movielens", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: movielens dataset: line 3: expected integer userId "
+                       f"and movieId and a numeric rating, got '1,11'"]
+        assert not (tmp_path / "o").exists()
 
     def test_prep_missing_input_exits_one(self, tmp_path, capsys):
         rc = cli.main(

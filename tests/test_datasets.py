@@ -1,6 +1,9 @@
 """Tests for the similarity/popularity input pipeline."""
 
+import hashlib
+import logging
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +26,7 @@ from cacherec import (
     zipf_popularity,
 )
 from cacherec.datasets import prune_with_stats
+from oracles import cf_fill_ref
 
 MOVIELENS_CSV = os.environ.get("MOVIELENS_CSV", "data/ml-latest-small/ratings.csv")
 
@@ -32,6 +36,41 @@ def table(rows, scale=(0.5, 5.0)):
     return RatingsTable(
         np.asarray(users), np.asarray(items), np.asarray(ratings, dtype=float), scale
     )
+
+
+def tie_heavy_rows(seed):
+    """Seeded (user, item, rating) rows whose similarities tie often.
+
+    Ratings take three levels on the half-point grid and every item has a
+    power-of-two number of raters, so each mean, centred rating and dot
+    product is exact in binary floating point: any correct implementation
+    computes the same similarities bit for bit, ties included. About a
+    third of the items copy an earlier item's ratings and tie with it
+    exactly, and sparse users rate fewer items than k.
+    """
+    rng = np.random.default_rng(seed)
+    n_users = int(rng.integers(4, 25))
+    n_items = int(rng.integers(3, 17))
+    levels = rng.choice(np.arange(1, 11) * 0.5, size=3, replace=False)
+    user_ids = rng.choice(1000, size=n_users, replace=False)
+    item_ids = rng.choice(1000, size=n_items, replace=False)
+    powers = [c for c in (1, 2, 4, 8, 16) if c <= n_users]
+    columns = []
+    for _ in range(n_items):
+        if columns and rng.random() < 0.3:
+            columns.append(columns[rng.integers(len(columns))])
+            continue
+        raters = rng.choice(n_users, size=rng.choice(powers), replace=False)
+        columns.append([(int(u), float(rng.choice(levels))) for u in raters])
+    return [(int(user_ids[u]), int(item_ids[i]), value)
+            for i, column in enumerate(columns) for u, value in column]
+
+
+# k runs over 1..11 across the seeds
+TIE_HEAVY = [(seed, 1 + seed % 11) for seed in range(44)]
+# sha256 over the concatenated cf_fill outputs on TIE_HEAVY, recorded with
+# the per-user lexsort that the rank-table fill replaced (numpy 2.4)
+TIE_HEAVY_SHA256 = "248ae70c61d55fa4654f74ab9d226472f52d7028d3e1c75037a50bf073ef7d19"
 
 
 class TestRatingsTable:
@@ -47,10 +86,29 @@ class TestRatingsTable:
         with pytest.raises(ValueError, match="ratings"):
             table([(1, 10, 6.0)])
 
+    def test_nan_rating_rejected(self):
+        with pytest.raises(ValueError, match="ratings"):
+            table([(1, 10, 3.0), (1, 20, np.nan)])
+
     def test_users_items_sorted_unique(self):
         t = table([(2, 20, 3.0), (1, 20, 2.0), (1, 10, 4.0)])
         npt.assert_array_equal(t.users, [1, 2])
         npt.assert_array_equal(t.items, [10, 20])
+
+    BIG = np.iinfo(np.int64).max
+    SMALL = np.iinfo(np.int64).min
+
+    @pytest.mark.parametrize("rows", [
+        [("u1", "a", 3.0), ("u2", "a", 4.0), ("u1", "b", 2.0)],
+        [(-5, -1, 3.0), (-5, 1, 4.0), (5, -1, 2.0)],
+        [(BIG, BIG, 3.0), (BIG, SMALL, 4.0), (SMALL, BIG, 2.0), (SMALL, SMALL, 1.0),
+         (BIG - 1, BIG, 5.0)],
+    ], ids=["strings", "negative", "int64-limits"])
+    def test_distinct_pairs_accepted_and_duplicate_rejected(self, rows):
+        t = table(rows)
+        assert t.ratings.size == len(rows)
+        with pytest.raises(ValueError, match="duplicate"):
+            table(rows + [rows[-1][:2] + (1.5,)])
 
 
 class TestCfFill:
@@ -106,6 +164,22 @@ class TestCfFill:
     def test_single_item_rejected(self):
         with pytest.raises(ValueError, match="two items"):
             cf_fill(table([(1, 10, 3.0), (2, 10, 4.0)]))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cf_fill(table([(1, 10, 3.0), (1, 20, 4.0), (2, 10, 2.0)]), k)
+
+    @pytest.mark.parametrize("seed,k", TIE_HEAVY)
+    def test_matches_pairwise_oracle_on_ties(self, seed, k):
+        rows = tie_heavy_rows(seed)
+        npt.assert_allclose(cf_fill(table(rows), k), cf_fill_ref(rows, k), rtol=0, atol=1e-12)
+
+    def test_tie_heavy_outputs_pinned(self):
+        digest = hashlib.sha256()
+        for seed, k in TIE_HEAVY:
+            digest.update(cf_fill(table(tie_heavy_rows(seed)), k).tobytes())
+        assert digest.hexdigest() == TIE_HEAVY_SHA256
 
 
 class TestCosineSimilarity:
@@ -291,6 +365,22 @@ class TestLoaders:
         with pytest.raises(ValueError, match="expected columns"):
             load_movielens_csv(path)
 
+    def test_movielens_columns_found_by_header(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("timestamp,rating,movieId,userId\n0,4.0,10,1\n\n0,2.5,20,2\n")
+        t = load_movielens_csv(path)
+        npt.assert_array_equal(t.user_ids, [1, 2])
+        npt.assert_array_equal(t.item_ids, [10, 20])
+        npt.assert_array_equal(t.ratings, [4.0, 2.5])
+
+    @pytest.mark.parametrize("bad", ["1,11", "1,11,x,0", "one,11,4.0,0"],
+                             ids=["short-row", "rating-not-a-number", "user-not-an-integer"])
+    def test_movielens_bad_row_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"userId,movieId,rating,timestamp\n1,10,4.0,0\n{bad}\n")
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_movielens_csv(path)
+
     def test_lastfm_triplets_symmetrized(self, tmp_path):
         path = tmp_path / "sim.tsv"
         path.write_text("a\tb\t0.9\nb\ta\t0.4\n# comment\nb\tc\t0.2\n")
@@ -304,6 +394,12 @@ class TestLoaders:
         path = tmp_path / "sim.tsv"
         path.write_text("a\tb\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_lastfm_triplets(path)
+
+    def test_lastfm_non_numeric_score_names_its_line(self, tmp_path):
+        path = tmp_path / "sim.tsv"
+        path.write_text("a\tb\t0.5\nb\tc\thigh\n")
+        with pytest.raises(ValueError, match="^line 2: score 'high' is not a number"):
             load_lastfm_triplets(path)
 
     def test_prepare_lastfm_pipeline(self, tmp_path):
@@ -333,6 +429,21 @@ class TestLoaders:
         npt.assert_array_equal(np.asarray(u1), np.asarray(u2))
         assert ids1 == ids2
         assert prov1["catalog_size"] == prov2["catalog_size"]
+
+    def test_prepare_logs_stage_seconds(self, tmp_path, caplog):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("userId,movieId,rating\n" + "".join(
+            f"{u},{it},{1 + (u * it) % 5}\n" for u in range(1, 9) for it in range(10, 16)
+        ))
+        triplets = tmp_path / "sim.tsv"
+        triplets.write_text("".join(f"s{i}\ts{j}\t0.8\n" for i in range(6) for j in range(i)))
+        with caplog.at_level(logging.DEBUG, logger="cacherec"):
+            prepare_movielens(ratings, theta=-1.0, list_size=2)
+            prepare_lastfm(triplets, list_size=2)
+        stages = [re.findall(r"(\w+) [\d.]+ s", r.getMessage()) for r in caplog.records]
+        assert stages == [["load", "fill", "similarity", "prune"],
+                          ["load", "similarity", "prune"]]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
 
 @pytest.mark.skipif(
