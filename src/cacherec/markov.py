@@ -49,9 +49,12 @@ def stationary_direct(y: RecMatrix, m: RequestModel) -> StationaryVector:
     p0 = np.asarray(m.popularity, dtype=float)
     a = m.follow_prob
     k = p0.size
-    system = np.eye(k) - a * yv.T
+    # I - a Y^T, built in place: (-a Y)^T is already Fortran-ordered, so
+    # the LU overwrites it without a copy.
+    system = (-a * yv).T
+    system[np.diag_indices(k)] += 1.0
     try:
-        lu, piv = scipy.linalg.lu_factor(system)
+        lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
         pi = scipy.linalg.lu_solve((lu, piv), (1.0 - a) * p0)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - a<1 keeps it regular
         raise np.linalg.LinAlgError(

@@ -8,8 +8,10 @@ selected quality crosses the floor. The stationary policy (`cars_solve`)
 minimizes the long-run cost by alternating convex minimizations of an
 augmented Lagrangian in which the stationarity condition of the request
 chain enters as a penalized equality residual. Its distribution step is
-a QP over the probability simplex, solved iteratively by `solve_qp`; a
-distribution step stopped at its step cap logs a warning. Its
+a QP over the probability simplex, solved iteratively by `solve_qp` with
+the transition operator applied through the nonzeros of Y, so a
+gradient step costs O(nnz(Y) + K) rather than O(K^2); a distribution
+step stopped at its step cap logs a warning. Its
 recommendation step needs no general QP: the penalized objective depends
 on Y only through ``Y^T pi``, so a block descent solves it row by row,
 each row an exact projection onto its polytope with the quality floor.
@@ -270,20 +272,24 @@ def cars_pi_step(
     """Minimize the penalized objective over the probability simplex.
 
     With Y fixed the residual is linear in pi, so this is a convex QP
-    with quadratic operator ``rho (I-P)(I-P^T)`` applied as two
-    matrix-vector products.
+    with quadratic operator ``rho (I-P)(I-P^T)``. Y is sparse (about N
+    nonzeros per row), so ``P v`` and ``P^T v`` are applied through Y's
+    nonzeros, taken once per call, each in O(nnz + K).
     """
     yv = np.asarray(y, dtype=float)
     p0 = np.asarray(inputs.model.popularity, dtype=float)
     a = inputs.model.follow_prob
     x = np.asarray(inputs.cost, dtype=float)
     lv = np.asarray(lam, dtype=float)
+    k = p0.size
+    rows, cols = np.nonzero(yv)
+    ay = a * yv[rows, cols]
 
     def p_vec(v):  # P v
-        return a * (yv @ v) + (1.0 - a) * float(p0 @ v)
+        return np.bincount(rows, ay * v[cols], k) + (1.0 - a) * float(p0 @ v)
 
     def pt_vec(v):  # P^T v
-        return a * (yv.T @ v) + (1.0 - a) * v.sum() * p0
+        return np.bincount(cols, ay * v[rows], k) + ((1.0 - a) * v.sum()) * p0
 
     def qmv(v):
         w = v - pt_vec(v)

@@ -5,7 +5,9 @@ distribution step of the stationary-cost policy in `cacherec.optim`. It
 runs monotone accelerated projected gradient steps with the exact
 sort-and-threshold projection of `project_simplex`; the step size comes
 from a power-iteration estimate of the quadratic operator norm and is
-halved whenever the objective increases.
+halved whenever the objective increases. The quadratic term is a
+matvec ``v -> Qv`` that must be linear, since each step applies it once
+and blends earlier products for the rest.
 
 The exact projections onto the recommendation rows' polytopes
 (`project_row_polytope`, and the sort-based capped-simplex projection
@@ -130,8 +132,8 @@ class QpProblem:
     linear : ndarray
         Linear coefficient c.
     quadratic : callable or None
-        Matvec ``v -> Qv`` of a symmetric PSD operator Q; None means a
-        linear program.
+        Matvec ``v -> Qv`` of a symmetric PSD operator Q; it must be
+        linear (see `solve_qp`). None means a linear program.
     """
 
     linear: np.ndarray
@@ -189,7 +191,12 @@ def solve_qp(
     """Solve the QP/LP by monotone accelerated projected gradient.
 
     Every iterate is projected onto the simplex exactly, so the primal
-    residual only carries roundoff.
+    residual only carries roundoff. `problem.quadratic` must be linear:
+    a step applies it once, to the new iterate, and the momentum point's
+    product is the blend ``Qx_new + beta (Qx_new - Qx)`` of the iterates'
+    products, which the residual checks reuse too. A solve applies it
+    ``iterations + 31`` times at most: 30 for the step size, one at the
+    start, one per step.
 
     Parameters
     ----------
@@ -214,7 +221,15 @@ def solve_qp(
     qmv = problem.quadratic
     x = project_simplex(np.zeros(n) if x0 is None else x0)
 
-    lq = _op_norm(qmv, n) if qmv is not None else 0.0
+    if qmv is None:
+        zero = np.zeros(n)
+
+        def qmv(v):
+            return zero
+
+        lq = 0.0
+    else:
+        lq = _op_norm(qmv, n)
     if lq > 0.0:
         step = 1.0 / lq
         momentum = True
@@ -224,55 +239,50 @@ def solve_qp(
         step = 1.0 / max(1.0, float(np.linalg.norm(c)))
         momentum = False
 
-    def value_grad(v):
-        f = float(c @ v)
-        g = c.copy()
-        if qmv is not None:
-            qv = qmv(v)
-            f += 0.5 * float(v @ qv)
-            g += qv
-        return f, g
+    def objective(v, qv):
+        return float(c @ v) + 0.5 * float(v @ qv)
 
-    def residuals(v):
-        """Stationarity and primal residuals at v."""
-        _, g = value_grad(v)
+    def residuals(v, qv):
+        """Stationarity and primal residuals at v, given ``qv = Qv``."""
         tau = min(step, 1.0)
-        stat = float(np.abs(v - project_simplex(v - tau * g)).max()) / tau
+        stat = float(np.abs(v - project_simplex(v - tau * (c + qv))).max()) / tau
         primal = max(float(-v.min()), float(v.max()) - 1.0, abs(float(v.sum()) - 1.0))
         return stat, primal
 
     step_floor = step * 2.0 ** -48
-    f_cur, _ = value_grad(x)
-    y = x.copy()
+    qx = qmv(x)
+    f_cur = objective(x, qx)
+    y, qy = x, qx
     t_mom = 1.0
     it = 0
     while it < max_iter:
-        _, gy = value_grad(y)
-        x_new = project_simplex(y - step * gy)
-        f_new, _ = value_grad(x_new)
+        x_new = project_simplex(y - step * (c + qy))
+        qx_new = qmv(x_new)
+        f_new = objective(x_new, qx_new)
         it += 1
         if f_new > f_cur + 1e-12 * (1.0 + abs(f_cur)):
             # Objective went up: halve the step and restart momentum.
             step *= 0.5
-            y = x.copy()
+            y, qy = x, qx
             t_mom = 1.0
             if step < step_floor:
                 break
             continue
         if momentum:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
+            beta = (t_mom - 1.0) / t_next
+            y = x_new + beta * (x_new - x)
+            qy = qx_new + beta * (qx_new - qx)
             t_mom = t_next
         else:
-            y = x_new
+            y, qy = x_new, qx_new
         moved = float(np.abs(x_new - x).max())
-        x = x_new
-        f_cur = f_new
+        x, qx, f_cur = x_new, qx_new, f_new
         if it % 10 == 0 or moved <= 1e-16 * (1.0 + np.abs(x).max()):
-            if residuals(x)[0] <= tol * (1.0 + abs(f_cur)):
+            if residuals(x, qx)[0] <= tol * (1.0 + abs(f_cur)):
                 break
 
-    stat, primal = residuals(x)
+    stat, primal = residuals(x, qx)
     if stat <= tol * (1.0 + abs(f_cur)) and primal <= tol:
         status, message = OPTIMAL, ""
     else:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cacherec import (
@@ -119,6 +120,27 @@ class TestStationaryDirect:
             pi = np.asarray(stationary_direct(y, m))
             ref = stationary_ref(transition_ref(np.asarray(y), p0, 0.85))
             assert np.abs(pi - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_in_place_system_matches_eye_minus_ay_lu(self, seed):
+        # The system is assembled in place; pin its output bit for bit
+        # against the same LU applied to an explicitly built I - a Y^T.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(20, 60))
+        # a writable array, so that writing into the caller's Y would show
+        y = np.array(random_rec_matrix(k, 3, rng))
+        y_before = y.copy()
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        a = 0.8
+        pi = np.asarray(stationary_direct(y, RequestModel(p0, a, 3)))
+        ref = scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(np.eye(k) - a * y.T), (1.0 - a) * p0
+        )
+        ref /= ref.sum()
+        ref = np.where(np.abs(ref) < 1e-15, np.abs(ref), ref)
+        assert_array_equal(pi, ref)
+        assert_array_equal(y, y_before)
 
 
 class TestStationaryPower:

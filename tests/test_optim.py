@@ -402,6 +402,38 @@ class TestCarsPiStep:
             np.asarray(pi), np.asarray(inp.model.popularity), atol=1e-4
         )
 
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_matches_kkt_oracle_with_multiplier(self, seed):
+        # Q and the linear term are built densely here, from P itself, and
+        # the oracle enumerates active sets. Every row of Y blends two
+        # random N-subsets, so it has more than N nonzeros and Y is not
+        # symmetric: applying P where P^T belongs fails this test.
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(5, 9)), 2
+        inp = make_inputs(k, n, rng, q=0.0, a=float(rng.uniform(0.5, 0.9)))
+        y = np.zeros((k, k))
+        for i in range(k):
+            others = np.array([j for j in range(k) if j != i])
+            theta = rng.uniform(0.2, 0.8)
+            y[i, rng.choice(others, n, replace=False)] += theta / n
+            y[i, rng.choice(others, n, replace=False)] += (1.0 - theta) / n
+        assert np.count_nonzero(y) > k * n
+        assert not np.array_equal(y != 0.0, (y != 0.0).T)
+        lam = rng.normal(0.0, 0.5, k)
+        rho = float(rng.uniform(0.5, 5.0))
+        p0 = np.asarray(inp.model.popularity, dtype=float)
+        a = inp.model.follow_prob
+        p = transition_ref(y, p0, a)
+        eye = np.eye(k)
+        quad = rho * (eye - p) @ (eye - p.T)
+        lin = np.asarray(inp.cost, dtype=float) + lam - p @ lam
+        ref_obj, ref_pi = qp_oracle(c=lin, quad=quad, a_eq=np.ones((1, k)),
+                                    b_eq=np.array([1.0]), lower=np.zeros(k))
+        pi = np.asarray(cars_pi_step(RecMatrix(y, n), lam, rho, inp, tol=1e-11))
+        npt.assert_allclose(pi, ref_pi, atol=1e-6)
+        obj = 0.5 * float(pi @ quad @ pi) + float(lin @ pi)
+        assert abs(obj - ref_obj) <= 1e-9 * (1.0 + abs(ref_obj))
+
 
 def binding_instance(rng, k, n):
     """Dense instance whose floors sit at 90 % of the poorest row's best."""

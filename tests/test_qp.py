@@ -167,6 +167,37 @@ class TestSolveQpStatuses:
         assert sig.parameters["max_iter"].default == 50000
 
 
+class TestSolveQpOperatorUse:
+    @pytest.mark.parametrize("max_iter", [17, 50000])
+    def test_one_product_per_step_and_fresh_residual(self, max_iter):
+        rng = np.random.default_rng(11)
+        m = rng.normal(0.0, 1.0, (7, 7))
+        quad = m.T @ m
+        # an operator norm of 0.4 puts the step near 2.4, so unless it is
+        # halved twice the residual's scale min(step, 1) is 1
+        quad *= 0.4 / np.linalg.norm(quad, 2)
+        # a small linear term keeps the optimum off the vertices
+        c = rng.normal(0.0, 0.05, 7)
+        calls = 0
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return quad @ v
+
+        sol = solve_qp(QpProblem(linear=c, quadratic=counted), tol=1e-10, max_iter=max_iter)
+        assert sol.iterations > 10
+        # one product at the start, 30 in the norm estimate, one per step
+        assert calls <= sol.iterations + 31
+        # recomputed from scratch at the returned point: a cached product
+        # left over from another iterate would not match
+        x = sol.point
+        stat = float(np.abs(x - project_simplex(x - (c + quad @ x))).max())
+        assert stat == pytest.approx(sol.stationarity_residual, rel=1e-9, abs=1e-15)
+        f = float(c @ x) + 0.5 * float(x @ quad @ x)
+        assert sol.objective == pytest.approx(f, rel=1e-12, abs=1e-15)
+
+
 class TestSolveQpAgainstOracle:
     def test_random_qp_objective_sandwich(self):
         rng = np.random.default_rng(8)
