@@ -27,7 +27,7 @@ from .datasets import (
     synthetic_similarity,
     zipf_popularity,
 )
-from .markov import cache_hit_ratio, stationary_direct
+from .markov import cache_hit_ratio
 from .model import RequestModel, SimilarityMatrix
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
 from .serialize import load_matrix, open_text

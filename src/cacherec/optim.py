@@ -15,6 +15,7 @@ step stopped at its step cap logs a warning. Its
 recommendation step needs no general QP: the penalized objective depends
 on Y only through ``Y^T pi``, so a block descent solves it row by row,
 each row an exact projection onto its polytope with the quality floor.
+The true cost of each iterate comes from `markov.stationary`.
 """
 
 import logging
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import expected_cost, stationary_direct
+from .markov import expected_cost, stationary
 from .model import (
     CostVector,
     RecMatrix,
@@ -509,11 +510,13 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     Each iteration minimizes over the auxiliary distribution, then over
     the recommendation matrix, then raises the multiplier by
     ``multiplier_step * rho`` times the stationarity residual. The true
-    cost of every iterate is evaluated from the exact stationary
-    distribution of its matrix (the auxiliary distribution only converges
-    to it as the residual vanishes). Terminates when both the squared
-    residual norm and the true-cost change drop below their accuracies,
-    or after `max_iter` iterations; returns the minimum-cost iterate.
+    cost of every iterate is evaluated from the stationary distribution
+    of its matrix, which `stationary` solves by a fixed point through Y's
+    nonzeros or, where that is cheaper, an LU (the auxiliary distribution
+    only converges to it as the residual vanishes). Terminates when both
+    the squared residual norm and the true-cost change drop below their
+    accuracies, or after `max_iter` iterations; returns the minimum-cost
+    iterate.
     """
     cfg = cfg or CarsConfig()
     m = inputs.model
@@ -524,7 +527,7 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
         y = RecMatrix(np.asarray(y, dtype=float), m.list_size)
     lam = np.zeros(inputs.size)
 
-    pi_exact = stationary_direct(y, m)
+    pi_exact = stationary(y, m)
     cost0 = expected_cost(pi_exact, x)
     cost_trace = [cost0]
     residual_trace = [0.0]
@@ -547,7 +550,7 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
             break
         c = residual_c(pi_i, y_next, m)
         lam = lam + cfg.multiplier_step * cfg.rho * c
-        cost_i = expected_cost(stationary_direct(y_next, m), x)
+        cost_i = expected_cost(stationary(y_next, m), x)
         eps1 = float(c @ c)
         eps2 = abs(cost_i - cost_trace[-1])
         cost_trace.append(cost_i)

@@ -1,10 +1,15 @@
 """Transition construction, stationary solves, and chain metrics."""
 
+import logging
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+import cacherec.markov as markov
 from cacherec import (
     RecMatrix,
     RequestModel,
@@ -13,6 +18,7 @@ from cacherec import (
     cache_hit_ratio,
     expected_cost,
     quality_of,
+    stationary,
     stationary_direct,
     stationary_power,
 )
@@ -143,6 +149,138 @@ class TestStationaryDirect:
         assert_array_equal(y, y_before)
 
 
+def _solve_logged(caplog, y, m):
+    """`stationary`'s result and its one DEBUG record's (path, steps, bound)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cacherec"):
+        pi = np.asarray(stationary(y, m))
+    (record,) = [r for r in caplog.records if r.name == "cacherec"]
+    assert record.levelno == logging.DEBUG
+    return pi, record.args
+
+
+@pytest.fixture
+def fixed_point_only(monkeypatch):
+    """Make `stationary` take the fixed point whatever the size."""
+    monkeypatch.setattr(markov, "_FIXED_POINT_RATIO", np.inf)
+
+
+class TestStationary:
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.8, 0.95])
+    @pytest.mark.parametrize("k", [5, 60, 400, 757])
+    def test_agrees_with_lu_on_sparse_matrices(self, k, a, monkeypatch):
+        rng = np.random.default_rng(k)
+        y = random_rec_matrix(k, 3, rng)
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        m = RequestModel(p0, a, 3)
+        ref = np.asarray(stationary_direct(y, m))
+        assert np.abs(np.asarray(stationary(y, m)) - ref).max() <= 1e-13
+        monkeypatch.setattr(markov, "_FIXED_POINT_RATIO", np.inf)
+        assert np.abs(np.asarray(stationary(y, m)) - ref).max() <= 1e-13
+
+    def test_popularity_with_zero_entries(self, fixed_point_only):
+        rng = np.random.default_rng(11)
+        k = 12
+        y = random_rec_matrix(k, 2, rng)
+        p0 = rng.random(k)
+        p0[[0, 3, 4, 9]] = 0.0
+        p0 /= p0.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            m = RequestModel(p0, 0.8, 2)
+        pi = np.asarray(stationary(y, m))
+        assert pi.min() >= 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-14
+        assert np.abs(pi - np.asarray(stationary_direct(y, m))).max() <= 1e-13
+
+    def test_a_zero_returns_popularity_exactly(self):
+        rng = np.random.default_rng(12)
+        k = 9
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        m = RequestModel(p0, 0.0, 2)
+        assert_array_equal(stationary(random_rec_matrix(k, 2, rng), m), m.popularity.values)
+
+    @pytest.mark.parametrize("ratio", [0.0, np.inf])
+    def test_caller_y_unchanged(self, ratio, monkeypatch):
+        monkeypatch.setattr(markov, "_FIXED_POINT_RATIO", ratio)
+        rng = np.random.default_rng(13)
+        k = 40
+        y = np.array(random_rec_matrix(k, 3, rng))
+        y_before = y.copy()
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        stationary(y, RequestModel(p0, 0.8, 3))
+        assert_array_equal(y, y_before)
+
+    @pytest.mark.parametrize("k,dense,a,lu_calls", [
+        (400, True, 0.8, 1),
+        (757, False, 0.99, 1),
+        (757, False, 0.8, 0),
+    ])
+    def test_path_choice(self, k, dense, a, lu_calls, monkeypatch):
+        calls = []
+        real = markov.stationary_direct
+        monkeypatch.setattr(markov, "stationary_direct",
+                            lambda y, m: calls.append(1) or real(y, m))
+        rng = np.random.default_rng(14)
+        y = (1.0 - np.eye(k)) / (k - 1) if dense else random_rec_matrix(k, 4, rng)
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        m = RequestModel(p0, a, 4)
+        pi = np.asarray(stationary(y, m))
+        assert len(calls) == lu_calls
+        assert np.abs(pi - np.asarray(real(y, m))).max() <= 1e-13
+
+    def test_cap_ends_a_roundoff_stall(self, caplog, fixed_point_only):
+        # A fast-mixing 3-state chain at a = 0.999: the exact error is
+        # below 1e-50 after 1000 steps, yet roundoff leaves the iteration
+        # alternating between two vectors 7.8e-16 apart in l1, far above
+        # the (1-a)/a * 1e-14 = 1e-17 the a-posteriori bound needs. Only
+        # the a-priori cap can stop it.
+        y = RecMatrix(np.array([
+            [0.0, 0.7213932625264456, 0.2786067374735543],
+            [0.29067051747137657, 0.0, 0.7093294825286235],
+            [0.047949326173274194, 0.9520506738267258, 0.0],
+        ]), list_size=1)
+        a = 0.999
+        m = RequestModel([0.6116858647705994, 0.26525008932065475, 0.12306404590874587], a, 1)
+        pi, (path, steps, bound) = _solve_logged(caplog, y, m)
+        assert path == "fixed point"
+        assert 2.0 * a**steps <= 1e-14 < 2.0 * a ** (steps - 1)
+        assert bound == pytest.approx(2.0 * a**steps)
+        assert np.abs(pi - np.asarray(stationary_direct(y, m))).sum() <= 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            stationary(SWAP, RequestModel([0.2, 0.3, 0.5], 0.5, 1))
+
+    def test_logs_one_debug_line_per_solve(self, caplog):
+        rng = np.random.default_rng(15)
+        p0 = rng.random(757) + 0.01
+        p0 /= p0.sum()
+        sparse = random_rec_matrix(757, 4, rng)
+        _, (path, steps, bound) = _solve_logged(caplog, sparse, RequestModel(p0, 0.8, 4))
+        assert path == "fixed point"
+        assert 0 < steps <= math.ceil(math.log(0.5e-14) / math.log(0.8))
+        assert bound <= 1e-14
+        _, (path, steps, bound) = _solve_logged(caplog, SWAP, RequestModel([0.5, 0.5], 0.8, 1))
+        assert (path, steps) == ("lu", 0)
+        assert bound <= 1e-14
+        _, (path, steps, bound) = _solve_logged(caplog, SWAP, RequestModel([0.5, 0.5], 0.0, 1))
+        assert (path, steps, bound) == ("popularity", 0, 0.0)
+
+    def test_silent_at_default_level(self, capsys, caplog):
+        rng = np.random.default_rng(16)
+        p0 = rng.random(757) + 0.01
+        p0 /= p0.sum()
+        stationary(random_rec_matrix(757, 4, rng), RequestModel(p0, 0.8, 4))
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+        assert not [r for r in caplog.records if r.name == "cacherec"]
+
+
 class TestStationaryPower:
     def test_identity_fixed_point(self):
         pi = stationary_power(np.eye(2))
@@ -225,6 +363,23 @@ class TestCacheHitRatio:
             c = int(rng.integers(0, k + 1))
             cached = set(rng.choice(k, size=c, replace=False).tolist())
             assert 0.0 <= cache_hit_ratio(y, m, cached) <= 1.0
+
+    def test_matches_lu_cost_where_the_fixed_point_runs(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        k = 757
+        y = random_rec_matrix(k, 4, rng)
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        m = RequestModel(p0, 0.8, 4)
+        cached = set(rng.choice(k, size=38, replace=False).tolist())
+        x = np.ones(k)
+        x[sorted(cached)] = 0.0
+        lu_calls = []
+        monkeypatch.setattr(markov, "stationary_direct",
+                            lambda y, m: lu_calls.append(1) or stationary_direct(y, m))
+        chr_ = cache_hit_ratio(y, m, cached)
+        assert lu_calls == []
+        assert abs(chr_ - (1.0 - expected_cost(stationary_direct(y, m), x))) <= 1e-12
 
     def test_out_of_range_ids_rejected(self):
         m = RequestModel([0.5, 0.5], 0.8, 1)

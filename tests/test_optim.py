@@ -25,11 +25,12 @@ from cacherec import (
     quality_of,
     residual_c,
     stationary_direct,
+    top_c_cache,
     top_n_similarity,
     validate_rec_matrix,
     zipf_popularity,
 )
-from cacherec import optim
+from cacherec import markov, optim
 from cacherec.optim import _quality_row_prox, _solve_row_lp
 
 from oracles import (
@@ -685,6 +686,24 @@ class TestCarsSolve:
         assert len(res.lambda_norm_trace) == len(res.cost_trace)
         assert res.best_index == int(np.argmin(res.cost_trace))
         assert res.best_cost == pytest.approx(res.cost_trace[res.best_index])
+
+    def test_best_cost_matches_lu_where_the_fixed_point_runs(self, monkeypatch):
+        # K=400 with about N nonzeros per row: every stationary solve in
+        # cars_solve takes the fixed point through Y's nonzeros.
+        k = 400
+        p0 = zipf_popularity(k, 0.6)
+        x = np.ones(k)
+        x[sorted(top_c_cache(p0, 20).cached)] = 0.0
+        inp = OptimInputs(anchored_similarity(k, 8.0, 4, seed=3),
+                          RequestModel(p0, 0.8, 4), x, 0.8)
+        y0 = myopic_solve(inp)
+        lu_calls = []
+        monkeypatch.setattr(markov, "stationary_direct",
+                            lambda y, m: lu_calls.append(1) or stationary_direct(y, m))
+        res = cars_solve(inp, CarsConfig(y0=y0, max_iter=2, subproblem_max_iter=50))
+        assert lu_calls == []
+        lu_cost = expected_cost(stationary_direct(res.best_y, inp.model), x)
+        assert abs(res.best_cost - lu_cost) <= 1e-12
 
     def test_converged_flag_on_easy_instance(self):
         u = np.array([[0.0, 1.0], [1.0, 0.0]])
