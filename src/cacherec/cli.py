@@ -11,7 +11,6 @@ failed).
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--threads",
         type=int,
-        help="worker threads; falls back to the CARS_THREADS env var, then 1",
+        default=1,
+        help="worker threads (default 1)",
     )
 
     trace = sub.add_parser("trace", help="dump the solver convergence trace")
@@ -95,29 +95,13 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("CARS_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"CARS_THREADS is not an integer: {env!r}") from exc
-        else:
-            n = 1
-    if n < 1:
-        raise ConfigError("thread count must be >= 1")
-    return n
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if not cfg.output_dir:
         cfg = replace(cfg, output_dir=".")
-    threads = _resolve_threads(args)
-    rows = run_experiment(cfg, threads=threads)
+    if args.threads < 1:
+        raise ConfigError("thread count must be >= 1")
+    rows = run_experiment(cfg, threads=args.threads)
     failures = [r for r in rows if r["error"]]
     out = Path(cfg.output_dir) / "results.csv"
     print(f"wrote {out} ({len(rows)} rows, {len(failures)} failed)")

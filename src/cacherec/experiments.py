@@ -162,10 +162,6 @@ class ScenarioConfig:
                 kwargs["cars"] = _parse_cars(kwargs["cars"])
             if "session" in kwargs:
                 kwargs["session"] = _parse_session(kwargs["session"])
-            for name in ("list_sizes", "zipf_exponents", "qualities",
-                         "cache_fractions", "follow_probs", "policies"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
             return cls(**kwargs)
         except ConfigError:
             raise

@@ -31,7 +31,7 @@ from .model import (
     SimilarityMatrix,
     StationaryVector,
 )
-from .qp import MAXITER, QpProblem, _project_capped, solve_qp
+from .qp import MAXITER, _project_capped, solve_qp
 
 __all__ = [
     "OptimInputs",
@@ -283,8 +283,10 @@ def cars_pi_step(
     x = np.asarray(inputs.cost, dtype=float)
     lv = np.asarray(lam, dtype=float)
     k = p0.size
-    rows, cols = np.nonzero(yv)
-    ay = a * yv[rows, cols]
+    flat = yv.ravel()
+    nz = np.flatnonzero(flat)
+    rows, cols = np.divmod(nz, k)
+    ay = a * flat[nz]
 
     def p_vec(v):  # P v
         return np.bincount(rows, ay * v[cols], k) + (1.0 - a) * float(p0 @ v)
@@ -296,8 +298,8 @@ def cars_pi_step(
         w = v - pt_vec(v)
         return rho * (w - p_vec(w))
 
-    problem = QpProblem(linear=x + lv - p_vec(lv), quadratic=qmv)
-    sol = solve_qp(problem, tol=tol, max_iter=max_iter, x0=p0 if x0 is None else x0)
+    sol = solve_qp(x + lv - p_vec(lv), qmv, tol=tol, max_iter=max_iter,
+                   x0=p0 if x0 is None else x0)
     if sol.status == MAXITER:
         _log.warning("stationary step: %s", sol.message)
     return StationaryVector(sol.point)

@@ -1,4 +1,4 @@
-"""Convex QP/LP solver over the probability simplex, and exact projections.
+"""Convex QP solver over the probability simplex, and exact projections.
 
 `solve_qp` minimizes ``0.5 v'Qv + c'v`` over ``{v >= 0, sum v = 1}``, the
 distribution step of the stationary-cost policy in `cacherec.optim`. It
@@ -6,8 +6,8 @@ runs monotone accelerated projected gradient steps with the exact
 sort-and-threshold projection of `project_simplex`; the step size comes
 from a power-iteration estimate of the quadratic operator norm and is
 halved whenever the objective increases. The quadratic term is a
-matvec ``v -> Qv`` that must be linear, since each step applies it once
-and blends earlier products for the rest.
+matvec ``v -> Qv`` of a nonzero operator that must be linear, since each
+step applies it once and blends earlier products for the rest.
 
 The exact projections onto the recommendation rows' polytopes
 (`project_row_polytope`, and the sort-based capped-simplex projection
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QpProblem",
     "QpSolution",
     "InfeasiblePolytopeError",
     "solve_qp",
@@ -120,35 +119,8 @@ def project_row_polytope(v, list_size: int, self_idx: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Problem and solution containers
+# Solver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class QpProblem:
-    """``min 0.5 v'Qv + c'v`` over the probability simplex.
-
-    Parameters
-    ----------
-    linear : ndarray
-        Linear coefficient c.
-    quadratic : callable or None
-        Matvec ``v -> Qv`` of a symmetric PSD operator Q; it must be
-        linear (see `solve_qp`). None means a linear program.
-    """
-
-    linear: np.ndarray
-    quadratic: object = None
-
-    def __post_init__(self):
-        c = np.asarray(self.linear, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("linear coefficient must be a vector")
-        self.linear = c
-        if self.quadratic is not None and not callable(self.quadratic):
-            raise TypeError(
-                f"quadratic must be a matvec callable or None, got {type(self.quadratic)!r}"
-            )
-
 
 @dataclass
 class QpSolution:
@@ -162,10 +134,6 @@ class QpSolution:
     stationarity_residual: float = np.nan
     message: str = ""
 
-
-# ---------------------------------------------------------------------------
-# Solver
-# ---------------------------------------------------------------------------
 
 def _op_norm(matvec, n: int, iters: int = 30) -> float:
     """Power-iteration estimate of a symmetric PSD operator's norm."""
@@ -183,24 +151,28 @@ def _op_norm(matvec, n: int, iters: int = 30) -> float:
 
 
 def solve_qp(
-    problem: QpProblem,
+    linear,
+    quadratic,
     tol: float = 1e-7,
     max_iter: int = 50000,
     x0: np.ndarray | None = None,
 ) -> QpSolution:
-    """Solve the QP/LP by monotone accelerated projected gradient.
+    """Minimize ``0.5 v'Qv + c'v`` over the simplex by accelerated gradient.
 
     Every iterate is projected onto the simplex exactly, so the primal
-    residual only carries roundoff. `problem.quadratic` must be linear:
-    a step applies it once, to the new iterate, and the momentum point's
-    product is the blend ``Qx_new + beta (Qx_new - Qx)`` of the iterates'
+    residual only carries roundoff. `quadratic` must be linear: a step
+    applies it once, to the new iterate, and the momentum point's product
+    is the blend ``Qx_new + beta (Qx_new - Qx)`` of the iterates'
     products, which the residual checks reuse too. A solve applies it
     ``iterations + 31`` times at most: 30 for the step size, one at the
     start, one per step.
 
     Parameters
     ----------
-    problem : QpProblem
+    linear : ndarray
+        Linear coefficient c.
+    quadratic : callable
+        Matvec ``v -> Qv`` of a nonzero symmetric PSD operator Q.
     tol : float
         Target for the projected-gradient stationarity residual (scaled by
         1 + |objective|) and for the primal residual.
@@ -215,29 +187,19 @@ def solve_qp(
         Status is Optimal once stationarity <= tol*(1+|f|) and primal
         feasibility <= tol both hold; MaxIter otherwise, with the
         residuals in the message.
+
+    Raises
+    ------
+    ValueError
+        If the norm estimate of Q is 0, which leaves no step size.
     """
-    c = problem.linear
+    c = np.asarray(linear, dtype=float)
     n = c.size
-    qmv = problem.quadratic
     x = project_simplex(np.zeros(n) if x0 is None else x0)
-
-    if qmv is None:
-        zero = np.zeros(n)
-
-        def qmv(v):
-            return zero
-
-        lq = 0.0
-    else:
-        lq = _op_norm(qmv, n)
-    if lq > 0.0:
-        step = 1.0 / lq
-        momentum = True
-    else:
-        # Pure LP over the simplex: any fixed step yields a convergent
-        # averaged iteration; scale it to the gradient.
-        step = 1.0 / max(1.0, float(np.linalg.norm(c)))
-        momentum = False
+    lq = _op_norm(quadratic, n)
+    if lq == 0.0:
+        raise ValueError("quadratic operator is zero: no step size")
+    step = 1.0 / lq
 
     def objective(v, qv):
         return float(c @ v) + 0.5 * float(v @ qv)
@@ -250,14 +212,14 @@ def solve_qp(
         return stat, primal
 
     step_floor = step * 2.0 ** -48
-    qx = qmv(x)
+    qx = quadratic(x)
     f_cur = objective(x, qx)
     y, qy = x, qx
     t_mom = 1.0
     it = 0
     while it < max_iter:
         x_new = project_simplex(y - step * (c + qy))
-        qx_new = qmv(x_new)
+        qx_new = quadratic(x_new)
         f_new = objective(x_new, qx_new)
         it += 1
         if f_new > f_cur + 1e-12 * (1.0 + abs(f_cur)):
@@ -268,14 +230,11 @@ def solve_qp(
             if step < step_floor:
                 break
             continue
-        if momentum:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            beta = (t_mom - 1.0) / t_next
-            y = x_new + beta * (x_new - x)
-            qy = qx_new + beta * (qx_new - qx)
-            t_mom = t_next
-        else:
-            y, qy = x_new, qx_new
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        beta = (t_mom - 1.0) / t_next
+        y = x_new + beta * (x_new - x)
+        qy = qx_new + beta * (qx_new - qx)
+        t_mom = t_next
         moved = float(np.abs(x_new - x).max())
         x, qx, f_cur = x_new, qx_new, f_new
         if it % 10 == 0 or moved <= 1e-16 * (1.0 + np.abs(x).max()):

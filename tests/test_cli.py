@@ -245,19 +245,6 @@ class TestThreadResolution:
         )
         assert rc == 0
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CARS_THREADS", "2")
-        cfg = write_scenario(tmp_path)
-        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 0
-
-    def test_threads_env_not_integer_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CARS_THREADS", "two")
-        cfg = write_scenario(tmp_path)
-        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "CARS_THREADS" in capsys.readouterr().err
-
     def test_threads_below_one_exits_one(self, tmp_path):
         cfg = write_scenario(tmp_path)
         rc = cli.main(
@@ -265,15 +252,6 @@ class TestThreadResolution:
              "--threads", "0"]
         )
         assert rc == 1
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CARS_THREADS", "nonsense")
-        cfg = write_scenario(tmp_path)
-        rc = cli.main(
-            ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-             "--threads", "1"]
-        )
-        assert rc == 0
 
 
 def trace_scenario(tmp_path, **overrides):

@@ -129,6 +129,14 @@ class TestScenarioConfigFromJson:
         with pytest.raises(ConfigError, match="JSON object"):
             ScenarioConfig.from_json(path)
 
+    def test_scalar_sweep_value_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, {"dataset": {"kind": "synthetic", "size": 8}, "list_sizes": 4}
+        )
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_json(path)
+        assert str(exc.value) == "invalid config: 'int' object is not iterable"
+
 
 class TestScenarioConfigValidation:
     def test_dataset_kind_required(self):

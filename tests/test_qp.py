@@ -1,4 +1,4 @@
-"""Tests for the convex QP/LP subsolver and its exact projections."""
+"""Tests for the convex simplex QP solver and its exact projections."""
 
 import inspect
 
@@ -10,7 +10,6 @@ from cacherec.qp import (
     MAXITER,
     OPTIMAL,
     InfeasiblePolytopeError,
-    QpProblem,
     project_row_polytope,
     project_simplex,
     solve_qp,
@@ -19,12 +18,12 @@ from cacherec.qp import (
 from oracles import qp_oracle
 
 
-def simplex_qp(c, quad=None) -> QpProblem:
-    """The QP ``min 0.5 v'Qv + c'v`` over the simplex, Q given as a matrix."""
-    return QpProblem(linear=c, quadratic=None if quad is None else (lambda v: quad @ v))
+def simplex_qp(c, quad):
+    """`solve_qp`'s ``(linear, quadratic)`` for ``min 0.5 v'Qv + c'v``, Q a matrix."""
+    return c, (lambda v: quad @ v)
 
 
-def simplex_oracle(c, quad=None):
+def simplex_oracle(c, quad):
     """Optimal objective over the simplex by active-set enumeration."""
     n = np.asarray(c).size
     ref, _ = qp_oracle(c=c, quad=quad, a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
@@ -32,11 +31,8 @@ def simplex_oracle(c, quad=None):
     return ref
 
 
-def qp_objective(problem: QpProblem, v: np.ndarray) -> float:
-    f = float(problem.linear @ v)
-    if problem.quadratic is not None:
-        f += 0.5 * float(v @ problem.quadratic(v))
-    return f
+def qp_objective(c, matvec, v: np.ndarray) -> float:
+    return float(c @ v) + 0.5 * float(v @ matvec(v))
 
 
 class TestProjectSimplex:
@@ -121,20 +117,14 @@ class TestProjectRowPolytope:
 class TestSolveQpExamples:
     def test_min_norm_over_simplex_is_uniform(self):
         quad = 2.0 * np.eye(4)
-        sol = solve_qp(simplex_qp(np.zeros(4), quad))
+        sol = solve_qp(*simplex_qp(np.zeros(4), quad))
         assert sol.status == OPTIMAL
         npt.assert_allclose(sol.point, np.full(4, 0.25), atol=1e-6)
         npt.assert_allclose(sol.objective, simplex_oracle(np.zeros(4), quad), atol=1e-9)
 
-    def test_lp_over_simplex_picks_cheapest_vertex(self):
-        sol = solve_qp(simplex_qp(np.array([3.0, 1.0, 2.0])))
-        assert sol.status == OPTIMAL
-        npt.assert_allclose(sol.point, [0.0, 1.0, 0.0], atol=1e-6)
-        npt.assert_allclose(sol.objective, 1.0, atol=1e-6)
-
-    def test_quadratic_must_be_a_matvec(self):
-        with pytest.raises(TypeError):
-            QpProblem(linear=np.zeros(2), quadratic=np.eye(2))
+    def test_zero_operator_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            solve_qp(*simplex_qp(np.array([3.0, 1.0, 2.0]), np.zeros((3, 3))))
 
 
 class TestSolveQpStatuses:
@@ -142,8 +132,7 @@ class TestSolveQpStatuses:
         rng = np.random.default_rng(6)
         m = rng.normal(0.0, 1.0, (6, 6))
         c = rng.normal(0.0, 1.0, 6)
-        problem = simplex_qp(c, m.T @ m)
-        sol = solve_qp(problem, tol=1e-8)
+        sol = solve_qp(*simplex_qp(c, m.T @ m), tol=1e-8)
         assert sol.status == OPTIMAL
         assert sol.primal_residual <= 1e-8
         assert sol.stationarity_residual <= 1e-8 * (1.0 + abs(sol.objective))
@@ -155,8 +144,7 @@ class TestSolveQpStatuses:
     def test_maxiter_reported(self):
         rng = np.random.default_rng(7)
         m = rng.normal(0.0, 1.0, (8, 8))
-        problem = simplex_qp(rng.normal(0.0, 1.0, 8), m.T @ m)
-        sol = solve_qp(problem, tol=1e-12, max_iter=3)
+        sol = solve_qp(*simplex_qp(rng.normal(0.0, 1.0, 8), m.T @ m), tol=1e-12, max_iter=3)
         assert sol.status == MAXITER
         assert sol.iterations <= 3
         assert sol.message
@@ -185,7 +173,7 @@ class TestSolveQpOperatorUse:
             calls += 1
             return quad @ v
 
-        sol = solve_qp(QpProblem(linear=c, quadratic=counted), tol=1e-10, max_iter=max_iter)
+        sol = solve_qp(c, counted, tol=1e-10, max_iter=max_iter)
         assert sol.iterations > 10
         # one product at the start, 30 in the norm estimate, one per step
         assert calls <= sol.iterations + 31
@@ -207,19 +195,9 @@ class TestSolveQpAgainstOracle:
             q = m.T @ m + 1e-3 * np.eye(n)
             c = rng.normal(0.0, 1.0, n)
             problem = simplex_qp(c, q)
-            sol = solve_qp(problem, tol=1e-9)
+            sol = solve_qp(*problem, tol=1e-9)
             assert sol.status == OPTIMAL, trial
             ref = simplex_oracle(c, q)
-            f_got = qp_objective(problem, sol.point)
+            f_got = qp_objective(*problem, sol.point)
             assert f_got >= ref - 1e-7 * (1.0 + abs(ref)), trial
             assert f_got <= ref + 1e-6 * (1.0 + abs(ref)), trial
-
-    def test_lp_matches_vertex_enumeration(self):
-        rng = np.random.default_rng(10)
-        for trial in range(30):
-            n = int(rng.integers(2, 7))
-            c = rng.normal(0.0, 1.0, n)
-            problem = simplex_qp(c)
-            sol = solve_qp(problem, tol=1e-10)
-            ref = simplex_oracle(c)
-            assert abs(qp_objective(problem, sol.point) - ref) <= 1e-8, trial
