@@ -17,7 +17,7 @@ import logging
 
 from . import datasets, experiments, markov, model, optim, qp, serialize, simulate
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 

@@ -3,8 +3,9 @@
 The rating pipeline fills a sparse ratings table by item-to-item
 collaborative filtering, computes item-centered cosine similarities,
 thresholds them to a binary relatedness matrix and prunes contents with
-too few relations so every quality floor stays attainable. Synthetic
-generators cover the dataset-free experiments.
+too few relations so every quality floor stays attainable. The anchored
+generator draws synthetic catalogs that meet a relation floor by
+construction, for the dataset-free experiments.
 """
 
 import csv
@@ -18,13 +19,11 @@ from .model import PopularityVector, SimilarityMatrix
 
 __all__ = [
     "RatingsTable",
-    "SyntheticSimilaritySpec",
     "cf_fill",
     "cosine_similarity",
     "binarize",
     "symmetrize_max",
     "prune_with_stats",
-    "synthetic_similarity",
     "anchored_similarity",
     "zipf_popularity",
     "load_movielens_csv",
@@ -76,21 +75,6 @@ class RatingsTable:
     def items(self) -> np.ndarray:
         """Distinct item ids, ascending."""
         return np.unique(self.item_ids)
-
-
-@dataclass(frozen=True)
-class SyntheticSimilaritySpec:
-    """Random relatedness graph: size, mean relations per content, seed."""
-
-    size: int
-    mean_related: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("size must be >= 2")
-        if not (0.0 < self.mean_related < self.size):
-            raise ValueError("mean_related must lie in (0, size)")
 
 
 def _item_item_similarity(r: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -239,39 +223,13 @@ def prune_with_stats(u: SimilarityMatrix, n: int):
     return SimilarityMatrix(uv[np.ix_(kept, kept)]), mapping, sweeps
 
 
-def synthetic_similarity(spec: SyntheticSimilaritySpec, min_row_sum: int = 0) -> SimilarityMatrix:
-    """Random symmetric binary relatedness with a target mean degree.
-
-    Each unordered pair relates independently with probability
-    ``mean_related / (size - 1)``. The draw is repeated on fresh child
-    seed streams until every row sums above `min_row_sum`, up to 100
-    attempts. Deterministic for a fixed spec.
-    """
-    k = spec.size
-    p = min(1.0, spec.mean_related / (k - 1))
-    streams = np.random.SeedSequence(spec.seed).spawn(100)
-    iu = np.triu_indices(k, 1)
-    for child in streams:
-        rng = np.random.default_rng(child)
-        upper = rng.random(iu[0].size) < p
-        u = np.zeros((k, k))
-        u[iu] = upper
-        u += u.T
-        if u.sum(axis=1).min() > min_row_sum:
-            return SimilarityMatrix(u)
-    raise RuntimeError(
-        f"no draw with min row sum > {min_row_sum} in 100 attempts "
-        f"(size={k}, mean_related={spec.mean_related})"
-    )
-
-
 def anchored_similarity(k: int, mean_related: float, min_related: int, seed: int = 0) -> SimilarityMatrix:
     """Random binary relatedness with a guaranteed per-content floor.
 
     A random cycle provides degree 2, random matchings lift every content
     to `min_related` relations, and random extra pairs raise the mean to
-    `mean_related`. Use this when independent pair sampling cannot reach
-    the floor (sparse graphs at small sizes).
+    `mean_related`. This is the generator of the sweep's `synthetic`
+    dataset kind.
     """
     if not (0 <= min_related < k):
         raise ValueError("min_related must lie in [0, size)")

@@ -19,14 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (
-    SyntheticSimilaritySpec,
-    anchored_similarity,
-    prepare_lastfm,
-    prepare_movielens,
-    synthetic_similarity,
-    zipf_popularity,
-)
+from .datasets import anchored_similarity, prepare_lastfm, prepare_movielens, zipf_popularity
 from .markov import cache_hit_ratio
 from .model import RequestModel, SimilarityMatrix
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
@@ -207,30 +200,28 @@ def build_grid(cfg: ScenarioConfig):
     return points
 
 
-def _similarity_for(cfg: ScenarioConfig, n: int, cache: dict):
-    """Build (or reuse) the similarity catalog for one list size.
+def _similarity_for(cfg: ScenarioConfig, n: int):
+    """Build the similarity catalog for one list size.
 
     Raw datasets are pruned with the list size as the degree floor, so
-    the resulting catalog depends on it; synthetic draws are regenerated
-    until every row exceeds it, matching the pruning invariant. A
-    `matrix` dataset is a `prep-dataset` output, read as it is. A dataset
-    that cannot be read or built is a `ConfigError`.
+    the resulting catalog depends on it. A synthetic catalog is an
+    anchored graph in which every content has more than `n` relations
+    (at least `min_related`, when that is set), matching the pruning
+    invariant; its mean degree defaults to that floor. A `matrix` dataset
+    is a `prep-dataset` output, read as it is. A dataset that cannot be
+    read or built is a `ConfigError`.
     """
-    if n in cache:
-        return cache[n]
     d = cfg.dataset
     kind = d["kind"]
     try:
         if kind == "synthetic":
             size = int(d["size"])
-            mean_related = float(d.get("mean_related", 4.0))
-            seed = int(d.get("seed", cfg.seed))
-            if "min_related" in d:
-                floor = max(int(d["min_related"]), n + 1)
-                u = anchored_similarity(size, mean_related, floor, seed)
-            else:
-                spec = SyntheticSimilaritySpec(size, mean_related, seed)
-                u = synthetic_similarity(spec, min_row_sum=n)
+            floor = max(int(d.get("min_related", 0)), n + 1)
+            mean_related = float(d.get("mean_related", floor))
+            if not floor <= mean_related < size:
+                raise ValueError(f"mean_related {mean_related:g} must lie in "
+                                 f"[floor {floor}, size {size}) at list size {n}")
+            u = anchored_similarity(size, mean_related, floor, int(d.get("seed", cfg.seed)))
         elif kind == "movielens":
             u, _, _ = prepare_movielens(d["path"], theta=float(d.get("theta", 0.6)),
                                         list_size=n)
@@ -240,7 +231,6 @@ def _similarity_for(cfg: ScenarioConfig, n: int, cache: dict):
             u = SimilarityMatrix(load_matrix(d["path"]))
     except (OSError, RuntimeError, ValueError) as exc:
         raise ConfigError(f"{kind} dataset: {exc}") from exc
-    cache[n] = u
     return u
 
 
@@ -290,6 +280,18 @@ def _cell(pt: _GridPoint, u, follow_prob: float, quality: float):
     return model, cache, OptimInputs(u, model, x, quality)
 
 
+def _cars_from_myopic(cfg: ScenarioConfig, inputs: OptimInputs):
+    """CARS warm-started at the myopic solution, as the `cars` row runs it.
+
+    Best-iterate selection then keeps the CARS cost at or below the
+    myopic cost. A failed subproblem raises `RuntimeError`.
+    """
+    result = cars_solve(inputs, replace(cfg.cars, y0=myopic_solve(inputs)))
+    if result.message:
+        raise RuntimeError(result.message)
+    return result
+
+
 def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> dict:
     """Solve and simulate one (grid point, policy) cell."""
     row = _blank_row(cfg, pt, policy)
@@ -306,12 +308,7 @@ def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> di
                 y = myopic_solve(inputs)
                 iterations = 0
             else:
-                # warm start at the myopic solution: best-iterate selection
-                # then keeps the CARS cost at or below the myopic cost
-                y_start = myopic_solve(inputs)
-                result = cars_solve(inputs, replace(cfg.cars, y0=y_start))
-                if result.message:
-                    raise RuntimeError(result.message)
+                result = _cars_from_myopic(cfg, inputs)
                 y = result.best_y
                 iterations = result.iterations
                 row["converged"] = result.converged
@@ -341,9 +338,7 @@ def run_experiment(cfg: ScenarioConfig, threads: int = 1):
     the rows are also written to ``results.csv`` inside it.
     """
     grid = build_grid(cfg)
-    sim_cache: dict = {}
-    for n in sorted({pt.list_size for pt in grid}):
-        _similarity_for(cfg, n, sim_cache)
+    sims = {n: _similarity_for(cfg, n) for n in sorted({pt.list_size for pt in grid})}
 
     policies = [p for p in CANONICAL_POLICIES if p in cfg.policies]
     tasks = [(pt, policy) for pt in grid for policy in policies]
@@ -353,13 +348,13 @@ def run_experiment(cfg: ScenarioConfig, threads: int = 1):
             rows = list(
                 pool.map(
                     lambda t: _run_point_policy(cfg, t[0], t[1],
-                                                sim_cache[t[0].list_size]),
+                                                sims[t[0].list_size]),
                     tasks,
                 )
             )
     else:
         rows = [
-            _run_point_policy(cfg, pt, policy, sim_cache[pt.list_size])
+            _run_point_policy(cfg, pt, policy, sims[pt.list_size])
             for pt, policy in tasks
         ]
 
@@ -390,18 +385,18 @@ def write_results(rows, path) -> None:
 
 
 def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
-    """Run the stationary-cost solver at the first grid point, dump its trace.
+    """Run the `cars` solve of the first grid point, dump its trace.
 
-    The CSV has one row per iterate: the true cost of the matrix, the
-    cost at the auxiliary distribution, the squared stationarity
-    residual, and the multiplier norm. Returns the rows.
+    The solve is the sweep's: CARS warm-started at the myopic solution,
+    so the trace's best cost is the cost of that point's `cars` row. The
+    CSV has one row per iterate: the true cost of the matrix, the cost at
+    the auxiliary distribution, the squared stationarity residual, and
+    the multiplier norm. Returns the rows.
     """
     pt = build_grid(cfg)[0]
-    u = _similarity_for(cfg, pt.list_size, {})
+    u = _similarity_for(cfg, pt.list_size)
     _, _, inputs = _cell(pt, u, pt.follow_prob, pt.quality)
-    result = cars_solve(inputs, replace(cfg.cars))
-    if result.message:
-        raise RuntimeError(result.message)
+    result = _cars_from_myopic(cfg, inputs)
 
     rows = [
         (

@@ -462,26 +462,27 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     return RecMatrix(ym, n)
 
 
+# Fixed constants of the alternating solver: the penalty weight, the
+# accuracy targets on the squared stationarity residual and on the change
+# of the true cost, and the tolerance of the distribution-step QP.
+_RHO = 1.0
+_ACC1 = 1e-6
+_ACC2 = 1e-5
+_PI_STEP_TOL = 1e-6
+
+
 @dataclass
 class CarsConfig:
     """Knobs of the alternating stationary-cost solver."""
 
-    rho: float = 1.0
     y0: RecMatrix | None = None
-    acc1: float = 1e-6
-    acc2: float = 1e-5
     max_iter: int = 30
     multiplier_step: float = 0.5  # factor on rho in the dual update; 1.0 is the textbook step
-    # tolerance and step cap of the stationary-step QP (`cars_pi_step`);
-    # the recommendation step is solved exactly and takes neither
-    subproblem_tol: float = 1e-6
+    # step cap of the distribution-step QP (`cars_pi_step`); the
+    # recommendation step is solved exactly and takes none
     subproblem_max_iter: int = 8000
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-        if self.acc1 <= 0.0 or self.acc2 <= 0.0:
-            raise ValueError("accuracy targets must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -511,14 +512,14 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
 
     Each iteration minimizes over the auxiliary distribution, then over
     the recommendation matrix, then raises the multiplier by
-    ``multiplier_step * rho`` times the stationarity residual. The true
-    cost of every iterate is evaluated from the stationary distribution
-    of its matrix, which `stationary` solves by a fixed point through Y's
-    nonzeros or, where that is cheaper, an LU (the auxiliary distribution
-    only converges to it as the residual vanishes). Terminates when both
-    the squared residual norm and the true-cost change drop below their
-    accuracies, or after `max_iter` iterations; returns the minimum-cost
-    iterate.
+    ``multiplier_step * rho`` (rho fixed at 1) times the stationarity
+    residual. The true cost of every iterate is evaluated from the
+    stationary distribution of its matrix, which `stationary` solves by a
+    fixed point through Y's nonzeros or, where that is cheaper, an LU (the
+    auxiliary distribution only converges to it as the residual vanishes).
+    Terminates when the squared residual norm drops to 1e-6 and the
+    true-cost change to 1e-5, or after `max_iter` iterations; returns the
+    minimum-cost iterate.
     """
     cfg = cfg or CarsConfig()
     m = inputs.model
@@ -543,15 +544,15 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     for i in range(1, cfg.max_iter + 1):
         try:
             pi_i = cars_pi_step(
-                y, lam, cfg.rho, inputs, x0=pi_warm,
-                tol=cfg.subproblem_tol, max_iter=cfg.subproblem_max_iter,
+                y, lam, _RHO, inputs, x0=pi_warm,
+                tol=_PI_STEP_TOL, max_iter=cfg.subproblem_max_iter,
             )
-            y_next = cars_y_step(pi_i, lam, cfg.rho, inputs, y0=y)
+            y_next = cars_y_step(pi_i, lam, _RHO, inputs, y0=y)
         except (ValueError, np.linalg.LinAlgError) as exc:
             message = f"subproblem failed at iteration {i}: {exc}"
             break
         c = residual_c(pi_i, y_next, m)
-        lam = lam + cfg.multiplier_step * cfg.rho * c
+        lam = lam + cfg.multiplier_step * _RHO * c
         cost_i = expected_cost(stationary(y_next, m), x)
         eps1 = float(c @ c)
         eps2 = abs(cost_i - cost_trace[-1])
@@ -563,7 +564,7 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
             best_y, best_cost, best_idx = y_next, cost_i, i
         y = y_next
         pi_warm = np.asarray(pi_i, dtype=float)
-        if eps1 <= cfg.acc1 and eps2 <= cfg.acc2:
+        if eps1 <= _ACC1 and eps2 <= _ACC2:
             converged = True
             break
 

@@ -164,6 +164,19 @@ class TestRunCommand:
         assert by_policy["myopic"]["error"] == "RuntimeError: forced failure"
         assert by_policy["norec"]["error"] == ""
 
+    def test_subproblem_failure_exits_two(self, tmp_path, capsys,
+                                          y_step_fails_at_iteration_2):
+        cfg = write_scenario(tmp_path, policies=["norec", "cars"])
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "(2 rows, 1 failed)" in captured.out
+        assert captured.err.strip() == ("grid 0 cars: RuntimeError: subproblem failed "
+                                        "at iteration 2: forced step failure")
+        assert [r["error"] for r in read_results(out / "results.csv")] == [
+            "", "RuntimeError: subproblem failed at iteration 2: forced step failure"]
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
@@ -195,10 +208,10 @@ class TestRunCommand:
 
 
 DATASET_FAILURES = {
-    # no draw of this size gives every row more than 4 relations
+    # a mean of 3 relations cannot give every content more than 4
     "synthetic-degree-floor": (
-        {"kind": "synthetic", "size": 60, "mean_related": 6.0, "seed": 3},
-        "synthetic dataset: no draw with min row sum > 4",
+        {"kind": "synthetic", "size": 60, "mean_related": 3.0, "seed": 3},
+        "synthetic dataset: mean_related 3 must lie in [floor 5, size 60) at list size 4",
     ),
     "movielens-missing-file": (
         {"kind": "movielens", "path": "absent.csv"},
@@ -290,6 +303,14 @@ class TestTraceCommand:
         rc = cli.main(["trace", "--config", str(cfg)])
         assert rc == 2
         assert "trace failed" in capsys.readouterr().err
+
+    def test_trace_subproblem_failure_exits_two(self, tmp_path, capsys,
+                                                y_step_fails_at_iteration_2):
+        cfg = trace_scenario(tmp_path)
+        rc = cli.main(["trace", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "trace failed: subproblem failed at iteration 2: forced step failure")
 
     def test_trace_config_error_exits_one(self, tmp_path):
         assert cli.main(["trace", "--config", str(tmp_path / "absent.json")]) == 1
@@ -423,6 +444,20 @@ class TestReadme:
     def test_dataset_kinds_match_config(self):
         listed = readme_text().split("`dataset.kind` is one of", 1)[1].split("(", 1)[0]
         assert set(re.findall(r"`(\w+)`", listed)) == set(experiments._DATASET_KINDS)
+
+    def test_cars_keys_match_config(self):
+        listed = readme_text().split("The `cars` object accepts", 1)[1].split(";", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == set(experiments._CARS_KEYS)
+
+    def test_example_config_runs(self, tmp_path, capsys):
+        example = readme_text().split("```json", 1)[1].split("```", 1)[0]
+        path = tmp_path / "scenario.json"
+        path.write_text(example, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert "(6 rows, 0 failed)" in capsys.readouterr().out
+        records = read_results(out / "results.csv")
+        assert [r["error"] for r in records] == [""] * 6
 
     def test_module_map_names_are_exported(self):
         # each row's Contents cell names only what its module exports; the

@@ -12,7 +12,6 @@ import pytest
 from cacherec import (
     RatingsTable,
     SimilarityMatrix,
-    SyntheticSimilaritySpec,
     anchored_similarity,
     binarize,
     cf_fill,
@@ -22,10 +21,10 @@ from cacherec import (
     prepare_lastfm,
     prepare_movielens,
     symmetrize_max,
-    synthetic_similarity,
     zipf_popularity,
 )
 from cacherec.datasets import prune_with_stats
+from cacherec.experiments import ConfigError, ScenarioConfig, _similarity_for
 from oracles import cf_fill_ref
 
 MOVIELENS_CSV = os.environ.get("MOVIELENS_CSV", "data/ml-latest-small/ratings.csv")
@@ -270,34 +269,74 @@ class TestPrune:
             assert np.asarray(out).sum(axis=1).min() > 2
 
 
+def synthetic_catalog(list_size, **dataset):
+    """The `synthetic` kind's catalog at one list size, as the sweep builds it."""
+    cfg = ScenarioConfig(dataset=dict(kind="synthetic", **dataset), list_sizes=(list_size,))
+    return np.asarray(_similarity_for(cfg, list_size))
+
+
 class TestSyntheticSimilarity:
+    """The `synthetic` dataset kind: an anchored graph in which every
+    content has more relations than the list size."""
+
     def test_complete_graph_at_max_mean(self):
-        u = synthetic_similarity(SyntheticSimilaritySpec(6, 5.0, seed=0))
-        npt.assert_array_equal(np.asarray(u), np.ones((6, 6)) - np.eye(6))
+        u = synthetic_catalog(2, size=6, mean_related=5.0, seed=0)
+        npt.assert_array_equal(u, np.ones((6, 6)) - np.eye(6))
 
     def test_deterministic_for_fixed_seed(self):
-        spec = SyntheticSimilaritySpec(30, 6.0, seed=42)
-        u1 = np.asarray(synthetic_similarity(spec))
-        u2 = np.asarray(synthetic_similarity(spec))
-        npt.assert_array_equal(u1, u2)
+        u = synthetic_catalog(3, size=30, mean_related=6.0, seed=42)
+        npt.assert_array_equal(u, synthetic_catalog(3, size=30, mean_related=6.0, seed=42))
+        npt.assert_array_equal(u, np.asarray(anchored_similarity(30, 6.0, 4, seed=42)))
+        assert not np.array_equal(u, synthetic_catalog(3, size=30, mean_related=6.0, seed=43))
 
     def test_mean_degree_near_target(self):
+        # the extra pairs make up the whole deficit, so the mean is exact
         k, rbar = 120, 8.0
-        means = []
         for seed in range(15):
-            u = np.asarray(synthetic_similarity(SyntheticSimilaritySpec(k, rbar, seed=seed)))
+            u = synthetic_catalog(4, size=k, mean_related=rbar, seed=seed)
             assert np.array_equal(u, u.T)
             assert set(np.unique(u)) <= {0.0, 1.0}
-            means.append(u.sum(axis=1).mean())
-        assert abs(np.mean(means) - rbar) <= 3.0 * np.sqrt(rbar) / np.sqrt(k)
+            assert u.sum(axis=1).mean() == rbar
 
     def test_min_row_sum_respected(self):
-        u = synthetic_similarity(SyntheticSimilaritySpec(40, 10.0, seed=1), min_row_sum=3)
-        assert np.asarray(u).sum(axis=1).min() > 3
+        for n in (1, 4, 9):
+            u = synthetic_catalog(n, size=40, mean_related=10.0, seed=1)
+            assert u.sum(axis=1).min() > n
+        u = synthetic_catalog(2, size=40, mean_related=10.0, min_related=7, seed=1)
+        assert u.sum(axis=1).min() >= 7
+        # without mean_related the mean defaults to the floor
+        npt.assert_array_equal(synthetic_catalog(4, size=40, seed=1),
+                               synthetic_catalog(4, size=40, mean_related=5.0, seed=1))
 
     def test_unreachable_floor_errors(self):
-        with pytest.raises(RuntimeError, match="100 attempts"):
-            synthetic_similarity(SyntheticSimilaritySpec(100, 2.0, seed=0), min_row_sum=5)
+        def message(mean, floor, size, n):
+            return re.escape(f"synthetic dataset: mean_related {mean} must lie in "
+                             f"[floor {floor}, size {size}) at list size {n}")
+
+        with pytest.raises(ConfigError, match=message(2, 6, 100, 5)):
+            synthetic_catalog(5, size=100, mean_related=2.0, seed=0)
+        with pytest.raises(ConfigError, match=message(4.5, 7, 100, 2)):
+            synthetic_catalog(2, size=100, mean_related=4.5, min_related=7, seed=0)
+        # a catalog too small for the floor, with the mean left at its default
+        with pytest.raises(ConfigError, match=message(5, 5, 4, 4)):
+            synthetic_catalog(4, size=4)
+        with pytest.raises(ConfigError, match=message(10, 3, 10, 2)):
+            synthetic_catalog(2, size=10, mean_related=10.0)
+
+    @pytest.mark.parametrize("list_size,dataset,digest", [
+        (4, dict(size=60, mean_related=6.0, min_related=5, seed=3),
+         "fab9a483566a4fe3b7e09cff42c5f046fa618710ac413e07b0b1f74b919a15a6"),
+        (2, dict(size=40, mean_related=7.5, min_related=3, seed=11),
+         "005eb1d47d8970f5c3aab3c713b0e0ccaf8b738ba28cf4a90cfd749e31be21cb"),
+        (2, dict(size=30, min_related=4, seed=1),
+         "eaa40c91e0a87356ae1ff9f6c3ebd44a7a9f98b1212fc29e3b5fe4e6e10c314a"),
+    ])
+    def test_min_related_catalog_pinned(self, list_size, dataset, digest):
+        # sha256 of the float64 matrices that configs with `min_related`
+        # gave in release 1.1.0
+        u = synthetic_catalog(list_size, **dataset)
+        assert u.dtype == np.float64
+        assert hashlib.sha256(u.tobytes()).hexdigest() == digest
 
 
 class TestAnchoredSimilarity:

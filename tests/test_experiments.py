@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cacherec import experiments
+from cacherec import experiments, optim
 from cacherec.experiments import (
     CANONICAL_POLICIES,
     RESULT_COLUMNS,
@@ -73,7 +74,7 @@ class TestScenarioConfigFromJson:
             "cache_fractions": [0.1],
             "follow_probs": [0.3, 0.7],
             "policies": ["norec", "cars"],
-            "cars": {"rho": 2.0, "max_iter": 9, "multiplier_step": 1.0},
+            "cars": {"max_iter": 9, "multiplier_step": 1.0, "subproblem_max_iter": 500},
             "session": {"total_requests": 5000, "session_param": 25},
             "seed": 42,
             "output_dir": "out",
@@ -81,9 +82,9 @@ class TestScenarioConfigFromJson:
         cfg = ScenarioConfig.from_json(write_config(tmp_path, payload))
         assert cfg.list_sizes == (2, 3)
         assert cfg.policies == ("norec", "cars")
-        assert cfg.cars.rho == 2.0
         assert cfg.cars.max_iter == 9
         assert cfg.cars.multiplier_step == 1.0
+        assert cfg.cars.subproblem_max_iter == 500
         assert cfg.session.total_requests == 5000
         # unspecified session keys keep their defaults
         assert cfg.session.session_kind == "fixed"
@@ -98,12 +99,15 @@ class TestScenarioConfigFromJson:
             ScenarioConfig.from_json(path)
 
     def test_unknown_cars_key_rejected(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {"dataset": {"kind": "synthetic", "size": 8}, "cars": {"y0": []}},
-        )
-        with pytest.raises(ConfigError, match="unknown cars keys"):
-            ScenarioConfig.from_json(path)
+        # the warm start is set per run; the penalty weight, the accuracy
+        # targets and the QP tolerance are constants
+        for key in ("y0", "rho", "acc1", "acc2", "subproblem_tol"):
+            path = write_config(
+                tmp_path,
+                {"dataset": {"kind": "synthetic", "size": 8}, "cars": {key: 1.0}},
+            )
+            with pytest.raises(ConfigError, match="unknown cars keys"):
+                ScenarioConfig.from_json(path)
 
     def test_unknown_session_key_rejected(self, tmp_path):
         path = write_config(
@@ -282,6 +286,15 @@ class TestRunExperiment:
         clean = [r for r in rows if not r["error"]]
         assert all(r["analytic_chr"] is not None for r in clean)
 
+    def test_subproblem_failure_becomes_error_row(self, y_step_fails_at_iteration_2):
+        rows = run_experiment(small_cfg(policies=("norec", "cars")))
+        assert [r["error"] for r in rows] == [
+            "",
+            "RuntimeError: subproblem failed at iteration 2: forced step failure",
+        ]
+        assert rows[1]["analytic_chr"] is None
+        assert rows[1]["converged"] is None
+
 
 class TestWriteResults:
     def test_results_csv_written_by_run(self, tmp_path):
@@ -341,13 +354,11 @@ class TestConvergenceTrace:
         last = rows[-1]
         # at convergence the auxiliary distribution is nearly stationary,
         # so the virtual cost agrees with the exact cost
-        assert last[3] <= trace_cfg.cars.acc1
+        assert last[3] <= optim._ACC1
         assert abs(last[1] - last[2]) <= 1e-2
         assert all(np.isfinite(v) for row in rows for v in row[1:])
 
     def test_trace_file_written_to_output_dir(self, trace_cfg, tmp_path):
-        from dataclasses import replace
-
         cfg = replace(trace_cfg, output_dir=str(tmp_path / "run"))
         rows = emit_convergence_trace(cfg)
         path = tmp_path / "run" / "trace.csv"
@@ -356,6 +367,14 @@ class TestConvergenceTrace:
         assert records[0] == list(TRACE_COLUMNS)
         assert len(records) == len(rows) + 1
         assert float(records[1][1]) == rows[0][1]
+
+    def test_trace_is_the_cars_row_solve(self):
+        # the trace's best iterate is the matrix the sweep's cars row reports
+        cfg = small_cfg(policies=("cars",))
+        rows = emit_convergence_trace(cfg)
+        (row,) = run_experiment(cfg)
+        assert row["iterations"] == len(rows) - 1
+        assert 1.0 - min(r[1] for r in rows) == pytest.approx(row["analytic_chr"], abs=1e-12)
 
     def test_solver_failure_raises(self, trace_cfg, monkeypatch):
         fake = types.SimpleNamespace(message="subproblem failed at iteration 2")

@@ -720,9 +720,23 @@ class TestCarsSolve:
         assert np.all(np.isfinite(res.cost_trace))
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError, match="rho"):
-            CarsConfig(rho=-1.0)
-        with pytest.raises(ValueError, match="accuracy"):
-            CarsConfig(acc1=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             CarsConfig(max_iter=0)
+        # the penalty weight and the accuracy targets are constants
+        for knob in ("rho", "acc1", "acc2", "subproblem_tol"):
+            with pytest.raises(TypeError):
+                CarsConfig(**{knob: 1.0})
+
+    def test_subproblem_failure_returns_earlier_iterate(self, y_step_fails_at_iteration_2):
+        rng = np.random.default_rng(16)
+        inp = make_inputs(6, 2, rng, q=0.4)
+        y0 = top_n_similarity(inp)
+        res = cars_solve(inp, CarsConfig(y0=y0, max_iter=5))
+        assert res.message == "subproblem failed at iteration 2: forced step failure"
+        assert not res.converged
+        assert res.iterations == 1
+        assert len(res.cost_trace) == len(res.residual_trace) == 2
+        assert res.best_index == int(np.argmin(res.cost_trace))
+        earlier = [y0, y_step_fails_at_iteration_2[0]][res.best_index]
+        assert res.best_y is earlier
+        assert res.best_cost == res.cost_trace[res.best_index]
