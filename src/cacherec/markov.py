@@ -16,7 +16,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .model import CostVector, RecMatrix, RequestModel, SimilarityMatrix, StationaryVector
+from .model import (
+    CostVector,
+    RecMatrix,
+    RequestModel,
+    SimilarityMatrix,
+    StationaryVector,
+    _nonzeros,
+)
 
 __all__ = [
     "build_transition",
@@ -59,7 +66,8 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
 
     Solves ``pi^T (I - a Y) = (1 - a) p0^T`` by the fixed point
     ``pi <- (1-a) p0 + a Y^T pi`` from ``p0``, applying ``Y^T pi`` through
-    Y's nonzeros in O(nnz + K) per step. Y is row-stochastic, so the map
+    Y's nonzeros in O(nnz + K) per step (a RecMatrix takes them once, for
+    every caller). Y is row-stochastic, so the map
     contracts by `a` in l1, and step t is within both
     ``a/(1-a) ||pi_t - pi_(t-1)||_1`` and ``2 a^t`` of the solution. The
     loop stops once the first bound is at most 1e-14, and at the latest
@@ -81,9 +89,8 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
         _log.debug(_LOG_LINE, "popularity", 0, 0.0)
         return StationaryVector(p0)
     t_cap = math.ceil(math.log(0.5 * _FIXED_POINT_TOL) / math.log(a))
-    flat = yv.ravel()
-    nz = np.flatnonzero(flat)
-    if t_cap * (nz.size + k) > _FIXED_POINT_RATIO * k**3:
+    rows, cols, vals = _nonzeros(y)
+    if t_cap * (vals.size + k) > _FIXED_POINT_RATIO * k**3:
         pi = stationary_direct(y, m)
         if _log.isEnabledFor(logging.DEBUG):
             # ||pi - pi*||_1 <= ||(I - a Y^T)^-1||_1 ||residual||_1 <= ||residual||_1 / (1-a)
@@ -92,8 +99,7 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
             _log.debug(_LOG_LINE, "lu", 0, resid / (1.0 - a))
         return pi
 
-    rows, cols = np.divmod(nz, k)
-    ay = a * flat[nz]
+    ay = a * vals
     b = (1.0 - a) * p0
 
     def step(v):  # (1-a) p0 + a Y^T v

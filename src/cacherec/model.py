@@ -8,6 +8,7 @@ read-only), so instances are safe to share across threads.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,13 +170,18 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
     for i in np.flatnonzero(diag > tol):
         out.append(Violation("diagonal", int(i), int(i), float(diag[i])))
 
-    over = v - cap
-    for i, j in zip(*np.nonzero(over > tol)):
-        out.append(Violation("box", int(i), int(j), float(over[i, j])))
+    # Whole-array reductions clear a feasible matrix without K x K
+    # temporaries; the entrywise scans run only where a check fails (a
+    # NaN fails it too, and the scans then report what they find).
+    if not v.max(initial=-np.inf) - cap <= tol:
+        over = v - cap
+        for i, j in zip(*np.nonzero(over > tol)):
+            out.append(Violation("box", int(i), int(j), float(over[i, j])))
 
-    neg = -v
-    for i, j in zip(*np.nonzero(neg > tol)):
-        out.append(Violation("negative", int(i), int(j), float(neg[i, j])))
+    if not -v.min(initial=np.inf) <= tol:
+        neg = -v
+        for i, j in zip(*np.nonzero(neg > tol)):
+            out.append(Violation("negative", int(i), int(j), float(neg[i, j])))
 
     row_err = np.abs(v.sum(axis=1) - 1.0)
     for i in np.flatnonzero(row_err > tol):
@@ -206,6 +212,27 @@ class RecMatrix(_ArrayWrapper):
             raise ValueError(
                 f"invalid recommendation matrix ({len(bad)} violations): {head}"
             )
+
+    @cached_property
+    def nonzeros(self):
+        """Row indices, column indices and values of the nonzero entries,
+        in row-major order, taken on first use and kept (read-only)."""
+        out = _nonzeros(self.values)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+
+def _nonzeros(y):
+    """Row indices, column indices and values of a square matrix's nonzero
+    entries, in row-major order; a RecMatrix's own are taken only once."""
+    if isinstance(y, RecMatrix):
+        return y.nonzeros
+    v = np.asarray(y, dtype=float)
+    flat = v.ravel()
+    nz = np.flatnonzero(flat)
+    rows, cols = np.divmod(nz, v.shape[0])
+    return rows, cols, flat[nz]
 
 
 @dataclass(frozen=True)

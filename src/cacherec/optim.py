@@ -15,6 +15,14 @@ step stopped at its step cap logs a warning. Its
 recommendation step needs no general QP: the penalized objective depends
 on Y only through ``Y^T pi``, so a block descent solves it row by row,
 each row an exact projection onto its polytope with the quality floor.
+Each row's projections run only over its candidates: the entries with a
+positive similarity, and those whose target lies less than one cap
+``1/N`` below the target's N-th largest entry. Adding the floor
+multiplier times the nonnegative similarities cannot lower that N-th
+entry, so the projection's shift stays at or above the cut and no other
+entry gets mass. A row thus costs a few O(K) passes (one partition
+finds the cut) plus projections over about as many entries as it has
+related items, instead of sorts over all 2K breakpoints.
 The true cost of each iterate comes from `markov.stationary`.
 """
 
@@ -30,6 +38,7 @@ from .model import (
     RequestModel,
     SimilarityMatrix,
     StationaryVector,
+    _nonzeros,
 )
 from .qp import MAXITER, _project_capped, solve_qp
 
@@ -275,18 +284,16 @@ def cars_pi_step(
     With Y fixed the residual is linear in pi, so this is a convex QP
     with quadratic operator ``rho (I-P)(I-P^T)``. Y is sparse (about N
     nonzeros per row), so ``P v`` and ``P^T v`` are applied through Y's
-    nonzeros, taken once per call, each in O(nnz + K).
+    nonzeros, each in O(nnz + K); a RecMatrix takes its nonzeros once and
+    shares them with `markov.stationary`.
     """
-    yv = np.asarray(y, dtype=float)
     p0 = np.asarray(inputs.model.popularity, dtype=float)
     a = inputs.model.follow_prob
     x = np.asarray(inputs.cost, dtype=float)
     lv = np.asarray(lam, dtype=float)
     k = p0.size
-    flat = yv.ravel()
-    nz = np.flatnonzero(flat)
-    rows, cols = np.divmod(nz, k)
-    ay = a * flat[nz]
+    rows, cols, vals = _nonzeros(y)
+    ay = a * vals
 
     def p_vec(v):  # P v
         return np.bincount(rows, ay * v[cols], k) + (1.0 - a) * float(p0 @ v)
@@ -320,20 +327,49 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
     endpoints are blended to land on the floor. A positive `sigma0`, such
     as the row's multiplier in the previous sweep, is the first Newton
     point. Returns the row and its floor multiplier.
+
+    Every projection runs on the candidates alone, the entries that can
+    carry mass at any ``sigma``: with ``c`` the smallest positive cap,
+    ``m = ceil(1/c)`` and ``w_(m)`` the m-th largest ``w`` among entries
+    with a positive cap, they are those with a positive cap and
+    ``w_j > w_(m) - c`` or ``u_j > 0``. Since ``u_row >= 0``, shifting by
+    ``sigma u_row`` cannot lower the m-th largest entry, so the shift of
+    ``proj`` is at least ``w_(m) - c`` and every other entry, left at
+    ``w_j`` by the shift, gets no mass. The Y-step's rows have ``m = N``
+    and about as many candidates as ``u_row`` has nonzeros.
     """
-    y = _project_capped(w, upper)
-    got = float(u_row @ y)
+    k = w.size
+    live = upper > 0.0
+    c = float(upper[live].min())
+    m = int(np.ceil(1.0 / c))
+    if m * c < 1.0:  # 1/c rounded down
+        m += 1
+    w_live = w[live]
+    if m < w_live.size:
+        cut = float(np.partition(w_live, w_live.size - m)[w_live.size - m]) - c
+        keep = np.flatnonzero(live & ((w > cut) | (u_row > 0.0)))
+    else:
+        keep = np.flatnonzero(live)
+    wc, uc, cap = w[keep], u_row[keep], upper[keep]
+
+    def full(yc):
+        y = np.zeros(k)
+        y[keep] = yc
+        return y
+
+    y = _project_capped(wc, cap)
+    got = float(uc @ y)
     if got >= q_floor - 1e-12:
-        return y, 0.0
+        return full(y), 0.0
 
     def slope(yr):
         # d(u . y)/d sigma on the current piece: u's spread over the free set
-        f = (yr > 0.0) & (yr < upper)
-        m = int(np.count_nonzero(f))
-        if m == 0:
+        f = (yr > 0.0) & (yr < cap)
+        nf = int(np.count_nonzero(f))
+        if nf == 0:
             return 0.0
-        uf = u_row[f]
-        return max(float(uf @ uf) - float(uf.sum()) ** 2 / m, 0.0)
+        uf = uc[f]
+        return max(float(uf @ uf) - float(uf.sum()) ** 2 / nf, 0.0)
 
     spread = float(np.ptp(w)) + float(upper.max()) + 1.0
     land = 1e-12 * max(1.0, abs(q_floor))
@@ -345,10 +381,10 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         sl = slope(y)
         sg = (q_floor - got) / sl if sl > 1e-12 else 1e-3 * spread
     for _ in range(_ROW_NEWTON_STEPS):
-        y2 = _project_capped(w + sg * u_row, upper)
-        got2 = float(u_row @ y2)
+        y2 = _project_capped(wc + sg * uc, cap)
+        got2 = float(uc @ y2)
         if abs(got2 - q_floor) <= land:
-            return y2, sg
+            return full(y2), sg
         if got2 < q_floor:
             sg_lo, y_lo = sg, y2
         else:
@@ -361,9 +397,11 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
             sg = 0.5 * (sg_lo + sg_hi)
         else:
             sg = prop
+    y_lo = full(y_lo)
     if y_hi is None:
         # quality is flat over the tried shifts; fall back to the greedy
-        # maximal-quality row, the exact maximizer under box and sum
+        # maximal-quality row over the whole row, the exact maximizer
+        # under box and sum
         budget = 1.0
         sg_hi = sg
         y_hi = np.zeros_like(w)
@@ -373,6 +411,8 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
             budget -= give
             if budget <= 0.0:
                 break
+    else:
+        y_hi = full(y_hi)
     gl = float(u_row @ y_lo)
     gh = float(u_row @ y_hi)
     if gh - gl <= 0.0 or gh < q_floor:
@@ -388,7 +428,11 @@ def _y_block_descent(y, pv, s_star, u, qv, cap, tol=1e-9):
     depends on Y only through ``s = Y^T pi``. With the other rows held
     fixed, row i therefore solves a Euclidean projection of
     ``(s_star - s + pi_i y_i) / pi_i`` onto its own polytope, which
-    `_quality_row_prox` computes exactly. Rows are visited in order of
+    `_quality_row_prox` computes exactly, over the row's candidates only:
+    the entries with ``u_ij > 0`` or a target above the cut, the target's
+    N-th largest off-diagonal entry minus ``1/N``. Since ``u >= 0``, every
+    other entry stays at or below the projection's shift at any floor
+    multiplier and gets no mass. Rows are visited in order of
     decreasing stationary mass; rows with vanishing mass do not move the
     objective and keep their starting values. Sweeps stop once no entry
     moves by more than `tol`, or after `_Y_SWEEPS` sweeps with a warning.

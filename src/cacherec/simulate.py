@@ -94,14 +94,16 @@ def top_c_cache(p0: PopularityVector, c: int) -> CachePlacement:
     return CachePlacement(frozenset(int(i) for i in order[:c]), c)
 
 
-def sample_rec_list(y_row, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_rec_list(y_row, n: int, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw exactly `n` distinct items with inclusion probabilities ``n*y``.
 
     Systematic sampling: one uniform start u, thresholds u, u+1, ...,
     u+n-1 against the cumulative inclusion probabilities. Because each
     inclusion probability is at most 1, no item can catch two thresholds,
     and each item's marginal probability equals its inclusion mass
-    exactly.
+    exactly. With `size`, returns a ``(size, n)`` array of lists drawn
+    from one table and one ``rng.random(size)``; they equal the lists of
+    `size` single calls.
     """
     y = np.asarray(y_row, dtype=float)
     z = n * y
@@ -115,11 +117,15 @@ def sample_rec_list(y_row, n: int, rng: np.random.Generator) -> np.ndarray:
         np.clip(z, 0.0, 1.0, out=z)
         total = z.sum()
     cum = _inclusion_table(z, n, total)
-    picks = np.searchsorted(cum, rng.random() + np.arange(n), side="right")
-    if picks[-1] == y.size:  # threshold rounded onto the table's end
-        picks[-1] = np.flatnonzero(y > 0.0)[-1]
-    if n > 1 and not (picks[1:] > picks[:-1]).all():  # pragma: no cover
-        picks = _dedupe(picks, y)  # roundoff pathologies only
+    starts = rng.random() if size is None else rng.random(size)
+    picks = np.searchsorted(cum, np.add.outer(starts, np.arange(n)), side="right")
+    lists = picks.reshape(-1, n)
+    end = lists[:, -1] == y.size  # threshold rounded onto the table's end
+    if end.any():
+        lists[end, -1] = np.flatnonzero(y > 0.0)[-1]
+    if n > 1:
+        for d in np.flatnonzero((lists[:, 1:] <= lists[:, :-1]).any(axis=1)):  # pragma: no cover
+            lists[d] = _dedupe(lists[d], y)  # roundoff pathologies only
     return picks
 
 

@@ -435,9 +435,7 @@ def test_criterion_10_sampler_inclusion_marginals():
         n = (2, 3, 4)[row_idx % 3]
         y_row = project_row_polytope(rng.uniform(size=k), n, row_idx % k)
         z = n * np.asarray(y_row, dtype=float)
-        lists = np.empty((draws, n), dtype=np.intp)
-        for d in range(draws):
-            lists[d] = sample_rec_list(y_row, n, rng)
+        lists = sample_rec_list(y_row, n, rng, size=draws)
         freq = np.bincount(lists.ravel(), minlength=k) / draws
         sigma = np.sqrt(z * (1.0 - z) / draws)
         excess = np.abs(freq - z) - 3.0 * sigma

@@ -202,6 +202,22 @@ class TestStationary:
         m = RequestModel(p0, 0.0, 2)
         assert_array_equal(stationary(random_rec_matrix(k, 2, rng), m), m.popularity.values)
 
+    def test_rec_matrix_nonzeros_give_bare_array_result(self, fixed_point_only):
+        # a RecMatrix keeps its nonzeros; the result must not depend on it
+        rng = np.random.default_rng(15)
+        k = 300
+        v = (0.3 * random_rec_matrix(k, 4, rng).values
+             + 0.7 * random_rec_matrix(k, 4, rng).values)
+        y = RecMatrix(v, list_size=4)
+        p0 = rng.random(k) + 0.01
+        p0 /= p0.sum()
+        m = RequestModel(p0, 0.8, 4)
+        assert "nonzeros" not in vars(y)
+        pi = np.asarray(stationary(y, m))
+        assert "nonzeros" in vars(y)
+        assert pi.tobytes() == np.asarray(stationary(v, m)).tobytes()
+        assert pi.tobytes() == np.asarray(stationary(y, m)).tobytes()
+
     @pytest.mark.parametrize("ratio", [0.0, np.inf])
     def test_caller_y_unchanged(self, ratio, monkeypatch):
         monkeypatch.setattr(markov, "_FIXED_POINT_RATIO", ratio)

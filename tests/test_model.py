@@ -11,6 +11,7 @@ from cacherec import (
     RequestModel,
     SimilarityMatrix,
     StationaryVector,
+    Violation,
     validate_rec_matrix,
 )
 
@@ -107,6 +108,79 @@ class TestValidateRecMatrix:
             validate_rec_matrix(np.eye(2))
 
 
+def _reference_violations(v, tol, n):
+    """`validate_rec_matrix`'s entrywise scans alone, with no fast path."""
+    out = []
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        return [Violation("shape", None, None, 0.0)]
+    cap = 1.0 / n
+    diag = np.abs(np.diag(v))
+    for i in np.flatnonzero(diag > tol):
+        out.append(Violation("diagonal", int(i), int(i), float(diag[i])))
+    over = v - cap
+    for i, j in zip(*np.nonzero(over > tol)):
+        out.append(Violation("box", int(i), int(j), float(over[i, j])))
+    neg = -v
+    for i, j in zip(*np.nonzero(neg > tol)):
+        out.append(Violation("negative", int(i), int(j), float(neg[i, j])))
+    row_err = np.abs(v.sum(axis=1) - 1.0)
+    for i in np.flatnonzero(row_err > tol):
+        out.append(Violation("row_sum", int(i), None, float(row_err[i])))
+    return out
+
+
+class TestValidateRecMatrixFastPath:
+    @staticmethod
+    def _feasible(rng, k, n):
+        v = np.zeros((k, k))
+        for i in range(k):
+            others = np.delete(np.arange(k), i)
+            v[i, rng.choice(others, n, replace=False)] = 1.0 / n
+        return v
+
+    def test_matches_entrywise_scans(self):
+        rng = np.random.default_rng(21)
+        kinds = ("diagonal", "box", "negative", "row_sum", "nan")
+        seen = set()
+        for trial in range(600):
+            k = int(rng.integers(3, 12))
+            n = int(rng.integers(1, k))
+            v = self._feasible(rng, k, n)
+            tol = float(rng.choice([1e-9, 1e-6, 1e-3]))
+            picked = rng.choice(kinds, int(rng.integers(0, 4)), replace=False)
+            for kind in picked:
+                i, j = (int(t) for t in rng.integers(k, size=2))
+                bump = float(rng.choice([0.5 * tol, 2.0 * tol, rng.uniform(0.0, 0.5)]))
+                if kind == "diagonal":
+                    v[i, i] += bump
+                elif kind == "box":
+                    v[i, j] = 1.0 / n + bump
+                elif kind == "negative":
+                    v[i, j] = -bump
+                elif kind == "row_sum":
+                    v[i] *= 1.0 + bump
+                else:
+                    v[i, j] = np.nan
+            got = validate_rec_matrix(v, tol, n)
+            assert got == _reference_violations(v, tol, n), (trial, picked)
+            seen.update(b.kind for b in got)
+            if "nan" in picked:
+                seen.add("nan")
+        assert seen == {"diagonal", "box", "negative", "row_sum", "nan"}
+
+    def test_nan_does_not_hide_other_violations(self):
+        v = np.array([[0.0, 1.0, np.nan], [2.0, 0.0, -1.0], [0.5, 0.5, 0.0]])
+        got = validate_rec_matrix(v, 1e-6, 1)
+        assert got == _reference_violations(v, 1e-6, 1)
+        assert [b.kind for b in got] == ["box", "negative"]
+
+    def test_shape_and_empty(self):
+        assert validate_rec_matrix(np.zeros((2, 3)), 1e-6, 1) == [
+            Violation("shape", None, None, 0.0)
+        ]
+        assert validate_rec_matrix(np.zeros((0, 0)), 1e-6, 1) == []
+
+
 class TestRecMatrix:
     def test_valid_constructs_and_is_frozen(self):
         y = RecMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), list_size=1)
@@ -125,6 +199,23 @@ class TestRecMatrix:
     def test_numpy_coercion(self):
         y = RecMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), list_size=1)
         assert_array_equal(np.asarray(y), y.values)
+
+    def test_nonzeros_taken_once_in_row_major_order(self):
+        rng = np.random.default_rng(22)
+        v = np.zeros((9, 9))
+        for i in range(9):
+            v[i, rng.choice(np.delete(np.arange(9), i), 3, replace=False)] = 1.0 / 3.0
+        y = RecMatrix(v, list_size=3)
+        rows, cols, vals = y.nonzeros
+        flat = v.ravel()
+        nz = np.flatnonzero(flat)
+        assert_array_equal(rows, nz // 9)
+        assert_array_equal(cols, nz % 9)
+        assert vals.tobytes() == flat[nz].tobytes()
+        assert y.nonzeros is y.nonzeros
+        for a in y.nonzeros:
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestRequestModel:

@@ -32,6 +32,7 @@ from cacherec import (
 )
 from cacherec import markov, optim
 from cacherec.optim import _quality_row_prox, _solve_row_lp
+from cacherec.qp import _project_capped
 
 from oracles import (
     best_deterministic_cost,
@@ -376,6 +377,20 @@ class TestAugmentedLagrangian:
 
 
 class TestCarsPiStep:
+    def test_rec_matrix_nonzeros_give_bare_array_result(self):
+        rng = np.random.default_rng(19)
+        inp = make_inputs(40, 3, rng, q=0.3)
+        y = RecMatrix(0.4 * np.asarray(top_n_similarity(inp))
+                      + 0.6 * np.asarray(myopic_solve(inp)), 3)
+        lam = rng.normal(0.0, 0.5, 40)
+        bare = cars_pi_step(np.array(y), lam, 1.0, inp, max_iter=200)
+        assert "nonzeros" not in vars(y)
+        kept = cars_pi_step(y, lam, 1.0, inp, max_iter=200)
+        assert "nonzeros" in vars(y)
+        assert np.asarray(kept).tobytes() == np.asarray(bare).tobytes()
+        again = cars_pi_step(y, lam, 1.0, inp, max_iter=200)
+        assert np.asarray(again).tobytes() == np.asarray(bare).tobytes()
+
     def test_large_penalty_recovers_stationary(self):
         rng = np.random.default_rng(7)
         inp = make_inputs(5, 2, rng, q=0.0)
@@ -516,6 +531,170 @@ class TestQualityRowProx:
             assert abs(float(y.sum()) - 1.0) <= 1e-12
             assert y.min() >= 0.0 and np.all(y <= upper)
             assert float(u @ y) >= q - 1e-9
+
+
+def _full_length_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
+    """`_quality_row_prox` without its candidate set: every projection
+    runs over all K entries."""
+    y = _project_capped(w, upper)
+    got = float(u_row @ y)
+    if got >= q_floor - 1e-12:
+        return y, 0.0
+
+    def slope(yr):
+        f = (yr > 0.0) & (yr < upper)
+        m = int(np.count_nonzero(f))
+        if m == 0:
+            return 0.0
+        uf = u_row[f]
+        return max(float(uf @ uf) - float(uf.sum()) ** 2 / m, 0.0)
+
+    spread = float(np.ptp(w)) + float(upper.max()) + 1.0
+    land = 1e-12 * max(1.0, abs(q_floor))
+    sg_lo, sg_hi = 0.0, None
+    y_lo, y_hi = y, None
+    if sigma0 > 0.0:
+        sg = sigma0
+    else:
+        sl = slope(y)
+        sg = (q_floor - got) / sl if sl > 1e-12 else 1e-3 * spread
+    for _ in range(optim._ROW_NEWTON_STEPS):
+        y2 = _project_capped(w + sg * u_row, upper)
+        got2 = float(u_row @ y2)
+        if abs(got2 - q_floor) <= land:
+            return y2, sg
+        if got2 < q_floor:
+            sg_lo, y_lo = sg, y2
+        else:
+            sg_hi, y_hi = sg, y2
+        sl = slope(y2)
+        prop = sg + (q_floor - got2) / sl if sl > 1e-12 else None
+        if sg_hi is None:
+            sg = prop if (prop is not None and prop > sg) else 4.0 * sg + 1e-3 * spread
+        elif prop is None or not (sg_lo < prop < sg_hi):
+            sg = 0.5 * (sg_lo + sg_hi)
+        else:
+            sg = prop
+    if y_hi is None:
+        budget = 1.0
+        sg_hi = sg
+        y_hi = np.zeros_like(w)
+        for j in np.argsort(-u_row):
+            give = min(upper[j], budget)
+            y_hi[j] = give
+            budget -= give
+            if budget <= 0.0:
+                break
+    gl = float(u_row @ y_lo)
+    gh = float(u_row @ y_hi)
+    if gh - gl <= 0.0 or gh < q_floor:
+        return y_hi, sg_hi
+    gamma = min(max((q_floor - gl) / (gh - gl), 0.0), 1.0)
+    return (1.0 - gamma) * y_lo + gamma * y_hi, sg_lo + gamma * (sg_hi - sg_lo)
+
+
+def _y_step_row(rng, k, n, u_kind, w_kind):
+    """A recommendation-step row: zero cap and similarity on the diagonal."""
+    i = int(rng.integers(k))
+    if u_kind == "sparse":
+        u = np.where(rng.uniform(size=k) < min(0.5, 8.0 / k), rng.uniform(0.1, 1.0, k), 0.0)
+    elif u_kind == "continuous":
+        u = rng.uniform(0.0, 1.0, k)
+    else:
+        u = rng.choice([0.0, 0.5, 1.0], k)
+    u[i] = 0.0
+    upper = np.full(k, 1.0 / n)
+    upper[i] = 0.0
+    if w_kind == "normal":
+        w = rng.normal(0.0, 1.0, k)
+    else:  # few levels a cap apart: ties at the cut w_(N) - 1/N
+        w = rng.integers(-3, 3, k) / n
+    return w, u, upper
+
+
+class TestRowProxCandidates:
+    def test_matches_full_length_solve(self):
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        binding = slack = 0
+        for k, rows in ((6, 800), (12, 800), (120, 800), (757, 300)):
+            for _ in range(rows):
+                n = int(rng.integers(1, min(6, k - 1) + 1))
+                w, u, upper = _y_step_row(
+                    rng, k, n, rng.choice(["sparse", "continuous", "levels"]),
+                    rng.choice(["normal", "levels"]),
+                )
+                plain = float(u @ _project_capped(w, upper))
+                best = float(np.sort(u)[::-1][:n].sum()) / n
+                if best - plain > 1e-6 and rng.uniform() < 0.7:
+                    q = plain + float(rng.uniform(0.05, 1.0)) * (best - plain)
+                else:
+                    q = plain * float(rng.uniform(0.0, 1.0))
+                sigma0 = float(rng.exponential()) if rng.uniform() < 0.3 else 0.0
+                ref, ref_sigma = _full_length_row_prox(w, u, q, upper, sigma0)
+                y, sigma = _quality_row_prox(w, u, q, upper, sigma0)
+                worst = max(worst, float(np.abs(y - ref).max()))
+                binding += ref_sigma > 0.0
+                slack += ref_sigma == 0.0
+        assert worst <= 1e-12
+        assert binding >= 1000 and slack >= 500
+
+    def test_projections_run_on_candidates_only(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        k, n, i = 757, 4, 3
+        u = np.zeros(k)
+        u[rng.choice(np.delete(np.arange(k), i), 8, replace=False)] = rng.uniform(0.3, 1.0, 8)
+        upper = np.full(k, 1.0 / n)
+        upper[i] = 0.0
+        w = rng.normal(0.0, 1.0, k)
+        q = 0.9 * float(np.sort(u)[::-1][:n].sum()) / n
+        ref, _ = _full_length_row_prox(w, u, q, upper)
+        cut = np.sort(np.delete(w, i))[-n] - 1.0 / n
+        size = int(np.count_nonzero(((w > cut) | (u > 0.0)) & (upper > 0.0)))
+        lengths = []
+        real = optim._project_capped
+        monkeypatch.setattr(optim, "_project_capped",
+                            lambda v, cap: lengths.append(v.size) or real(v, cap))
+        y, sigma = _quality_row_prox(w, u, q, upper)
+        assert sigma > 0.0 and len(lengths) >= 2
+        assert set(lengths) == {size} and size < 3 * (n + 8)
+        assert np.abs(y - ref).max() <= 1e-12
+
+    def test_similar_item_below_the_cut_gets_mass(self):
+        # item 7 lies far below the cut w_(2) - 1/2 = 0.5, yet the floor
+        # needs 0.3 of its similarity: y = (0.35, 0.35, 0, ..., 0.3 at 7)
+        k, n = 20, 2
+        w = np.zeros(k)
+        w[:2] = 1.0
+        w[7] = -5.0
+        u = np.zeros(k)
+        u[7] = 1.0
+        upper = np.full(k, 1.0 / n)
+        upper[19] = 0.0
+        y, sigma = _quality_row_prox(w, u, 0.3, upper)
+        want = np.zeros(k)
+        want[[0, 1, 7]] = 0.35, 0.35, 0.3
+        npt.assert_allclose(y, want, atol=1e-12)
+        assert sigma > 0.0
+        ref, _ = _full_length_row_prox(w, u, 0.3, upper)
+        assert np.abs(y - ref).max() <= 1e-12
+
+
+    def test_out_of_reach_floor_falls_back_on_the_whole_row(self):
+        # two related items cannot carry a floor of 0.9 at N = 4: the
+        # greedy maximal-quality row also fills unrelated entries, which
+        # may lie outside the candidates
+        rng = np.random.default_rng(25)
+        k, n = 120, 4
+        for _ in range(20):
+            w, u, upper = _y_step_row(rng, k, n, "sparse", "normal")
+            u[:] = 0.0
+            u[rng.choice(np.flatnonzero(upper > 0.0), 2, replace=False)] = 1.0
+            ref, ref_sigma = _full_length_row_prox(w, u, 0.9, upper)
+            y, sigma = _quality_row_prox(w, u, 0.9, upper)
+            assert y.tobytes() == ref.tobytes()
+            assert sigma == ref_sigma
+            assert float(u @ y) == 0.5
 
 
 class TestCarsYStep:

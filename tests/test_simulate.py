@@ -127,12 +127,37 @@ class TestSampleRecList:
             "e9915e2cf1bb5db99a94335a486a05cbd87fad8983fc496fff5b4f19e39f2c6c"
         )
 
+    @pytest.mark.parametrize("y,n", [
+        (np.array([0.125, 0.125, 0.125, 0.125, 0.0, 0.0, 0.125, 0.125, 0.125, 0.125]), 4),
+        (np.array([0.0, 0.5, 0.0, 0.5]), 2),
+        (np.array([0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0]), 3),
+        (np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.0]), 1),
+        (np.array([0.5, 0.5, 0.0]), 2),
+    ])
+    def test_batch_equals_single_calls(self, y, n):
+        single, batch = np.random.default_rng(31), np.random.default_rng(31)
+        lists = np.array([sample_rec_list(y, n, single) for _ in range(3000)])
+        got = sample_rec_list(y, n, batch, size=3000)
+        assert got.shape == (3000, n) and got.dtype == lists.dtype
+        assert got.tobytes() == lists.tobytes()
+        assert batch.random() == single.random()
+
+    def test_batch_end_of_table_rule_per_draw(self):
+        class Starts:
+            def random(self, size):
+                return np.resize([ALWAYS, 0.25], size)
+
+        got = sample_rec_list(np.array([0.5, 0.5, 0.0]), 2, Starts(), size=4)
+        npt.assert_array_equal(got, [[0, 1]] * 4)
+
     def test_infeasible_marginals_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="infeasible inclusion"):
             sample_rec_list(np.array([0.9, 0.1, 0.0]), 2, rng)
         with pytest.raises(ValueError, match="infeasible inclusion"):
             sample_rec_list(np.array([0.3, 0.3, 0.3]), 2, rng)
+        with pytest.raises(ValueError, match="infeasible inclusion"):
+            sample_rec_list(np.array([0.3, 0.3, 0.3]), 2, rng, size=10)
 
 
 class TestSimulate:
