@@ -24,7 +24,7 @@ from .markov import cache_hit_ratio
 from .model import RequestModel, SimilarityMatrix
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
 from .serialize import load_matrix, open_text
-from .simulate import SessionConfig, simulate, top_c_cache
+from .simulate import SessionConfig, _is_whole, simulate, top_c_cache
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -115,8 +115,8 @@ class ScenarioConfig:
             if not seq:
                 raise ConfigError(f"{name} must be a nonempty list")
             object.__setattr__(self, name, seq)
-        if any(int(n) < 1 for n in self.list_sizes):
-            raise ConfigError("every list size must be >= 1")
+        if any(not _is_whole(n) or n < 1 for n in self.list_sizes):
+            raise ConfigError("every list size must be a whole number >= 1")
         if any(s < 0 for s in self.zipf_exponents):
             raise ConfigError("Zipf exponents must be >= 0")
         if any(not 0.0 <= q <= 1.0 for q in self.qualities):
@@ -125,6 +125,9 @@ class ScenarioConfig:
             raise ConfigError("every cache fraction must lie in (0, 1]")
         if any(not 0.0 <= a < 1.0 for a in self.follow_probs):
             raise ConfigError("every follow probability must lie in [0, 1)")
+        if not _is_whole(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a whole number >= 0")
+        object.__setattr__(self, "seed", int(self.seed))
         unknown = set(self.policies) - set(CANONICAL_POLICIES)
         if unknown:
             raise ConfigError(
@@ -264,8 +267,8 @@ def _blank_row(cfg: ScenarioConfig, pt: _GridPoint, policy: str) -> dict:
     }
 
 
-def _cell(pt: _GridPoint, u, follow_prob: float, quality: float):
-    """Model, cache and optimizer inputs of one grid cell over the
+def _point_setup(pt: _GridPoint, u):
+    """Popularity, cache and miss costs of one grid point over the
     similarity catalog `u`.
 
     Popularity is Zipf over the catalog, the cache holds the most popular
@@ -276,58 +279,86 @@ def _cell(pt: _GridPoint, u, follow_prob: float, quality: float):
     cache = top_c_cache(p0, max(1, round(pt.cache_fraction * k)))
     x = np.ones(k)
     x[np.fromiter(cache.cached, dtype=int)] = 0.0
-    model = RequestModel(p0, follow_prob, pt.list_size)
-    return model, cache, OptimInputs(u, model, x, quality)
+    return p0, cache, x
 
 
-def _cars_from_myopic(cfg: ScenarioConfig, inputs: OptimInputs):
-    """CARS warm-started at the myopic solution, as the `cars` row runs it.
+def _myopic(pt: _GridPoint, u, p0, x):
+    """The point's optimizer inputs and their myopic matrix."""
+    inputs = OptimInputs(u, RequestModel(p0, pt.follow_prob, pt.list_size), x, pt.quality)
+    return inputs, myopic_solve(inputs)
+
+
+def _cars_from(cfg: ScenarioConfig, inputs: OptimInputs, y_myopic):
+    """CARS warm-started at the myopic matrix, as the `cars` row runs it.
 
     Best-iterate selection then keeps the CARS cost at or below the
     myopic cost. A failed subproblem raises `RuntimeError`.
     """
-    result = cars_solve(inputs, replace(cfg.cars, y0=myopic_solve(inputs)))
+    result = cars_solve(inputs, replace(cfg.cars, y0=y_myopic))
     if result.message:
         raise RuntimeError(result.message)
     return result
 
 
-def _run_point_policy(cfg: ScenarioConfig, pt: _GridPoint, policy: str, u) -> dict:
-    """Solve and simulate one (grid point, policy) cell."""
-    row = _blank_row(cfg, pt, policy)
-    start = time.perf_counter()
-    try:
-        if policy == "norec":
-            model, cache, inputs = _cell(pt, u, 0.0, 0.0)
-            y = top_n_similarity(inputs)
-            analytic = float(np.asarray(model.popularity)[sorted(cache.cached)].sum())
-            iterations = 0
-        else:
-            model, cache, inputs = _cell(pt, u, pt.follow_prob, pt.quality)
-            if policy == "myopic":
-                y = myopic_solve(inputs)
-                iterations = 0
-            else:
-                result = _cars_from_myopic(cfg, inputs)
-                y = result.best_y
-                iterations = result.iterations
-                row["converged"] = result.converged
-            analytic = cache_hit_ratio(y, model, cache.cached)
+def _point_rows(cfg: ScenarioConfig, pt: _GridPoint, u) -> list:
+    """Solve and simulate every requested policy at one grid point.
 
-        sim_cfg = replace(cfg.session, seed=row["seed"])
-        metrics = simulate(y, model, cache, u, sim_cfg)
-        row.update(
-            catalog_size=inputs.size,
-            cache_size=cache.capacity,
-            analytic_chr=analytic,
-            empirical_chr=metrics.empirical_chr,
-            mean_quality=metrics.mean_quality_served,
-            iterations=iterations,
-        )
-    except Exception as exc:  # noqa: BLE001 - per-point failures become CSV rows
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["wall_millis"] = (time.perf_counter() - start) * 1000.0
-    return row
+    The point's popularity, cache and costs are built once, and myopic is
+    solved once: its matrix is the `myopic` row's and the warm start of
+    the `cars` row, and an error it raises fails both rows alike. Returns
+    the rows in canonical policy order. Each row's `wall_millis` times
+    the work its result rests on, so the `myopic` and `cars` rows both
+    include the myopic solve.
+    """
+    policies = [p for p in CANONICAL_POLICIES if p in cfg.policies]
+    p0, cache, x = _point_setup(pt, u)
+    myopic, myopic_s = None, 0.0
+    if "myopic" in policies or "cars" in policies:
+        start = time.perf_counter()
+        try:
+            myopic = _myopic(pt, u, p0, x)
+        except Exception as exc:  # noqa: BLE001 - becomes both rows' error
+            myopic = exc
+        myopic_s = time.perf_counter() - start
+
+    rows = []
+    for policy in policies:
+        row = _blank_row(cfg, pt, policy)
+        start = time.perf_counter()
+        try:
+            iterations = 0
+            if policy == "norec":
+                model = RequestModel(p0, 0.0, pt.list_size)
+                y = top_n_similarity(OptimInputs(u, model, x, 0.0))
+                analytic = float(np.asarray(p0)[sorted(cache.cached)].sum())
+            else:
+                if isinstance(myopic, Exception):
+                    raise myopic
+                inputs, y = myopic
+                model = inputs.model
+                if policy == "cars":
+                    result = _cars_from(cfg, inputs, y)
+                    y = result.best_y
+                    iterations = result.iterations
+                    row["converged"] = result.converged
+                analytic = cache_hit_ratio(y, model, cache.cached)
+
+            sim_cfg = replace(cfg.session, seed=row["seed"])
+            metrics = simulate(y, model, cache, u, sim_cfg)
+            row.update(
+                catalog_size=u.size,
+                cache_size=cache.capacity,
+                analytic_chr=analytic,
+                empirical_chr=metrics.empirical_chr,
+                mean_quality=metrics.mean_quality_served,
+                iterations=iterations,
+            )
+        except Exception as exc:  # noqa: BLE001 - per-point failures become CSV rows
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        shared = myopic_s if policy != "norec" else 0.0
+        row["wall_millis"] = (time.perf_counter() - start + shared) * 1000.0
+        rows.append(row)
+    return rows
 
 
 def run_experiment(cfg: ScenarioConfig, threads: int = 1):
@@ -340,26 +371,15 @@ def run_experiment(cfg: ScenarioConfig, threads: int = 1):
     grid = build_grid(cfg)
     sims = {n: _similarity_for(cfg, n) for n in sorted({pt.list_size for pt in grid})}
 
-    policies = [p for p in CANONICAL_POLICIES if p in cfg.policies]
-    tasks = [(pt, policy) for pt in grid for policy in policies]
+    def run(pt):
+        return _point_rows(cfg, pt, sims[pt.list_size])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda t: _run_point_policy(cfg, t[0], t[1],
-                                                sims[t[0].list_size]),
-                    tasks,
-                )
-            )
+            per_point = list(pool.map(run, grid))
     else:
-        rows = [
-            _run_point_policy(cfg, pt, policy, sims[pt.list_size])
-            for pt, policy in tasks
-        ]
-
-    order = {p: i for i, p in enumerate(CANONICAL_POLICIES)}
-    rows.sort(key=lambda r: (r["grid_index"], order[r["policy"]]))
+        per_point = map(run, grid)
+    rows = [row for point in per_point for row in point]
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -395,8 +415,8 @@ def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
     """
     pt = build_grid(cfg)[0]
     u = _similarity_for(cfg, pt.list_size)
-    _, _, inputs = _cell(pt, u, pt.follow_prob, pt.quality)
-    result = _cars_from_myopic(cfg, inputs)
+    p0, _, x = _point_setup(pt, u)
+    result = _cars_from(cfg, *_myopic(pt, u, p0, x))
 
     rows = [
         (

@@ -1,13 +1,12 @@
 """Markov-chain mathematics of the sequential request model.
 
 The request chain mixes the recommendation matrix with the baseline
-popularity: ``P = a * Y + (1 - a) * 1 p0^T``. This module builds that
-transition matrix, solves for its stationary distribution, and evaluates
-the cost and quality metrics defined on top of it. `stationary` is the
-solver the optimizers and metrics call: it runs the fixed point
-``pi <- (1-a) p0 + a Y^T pi`` through Y's nonzeros, to a certified l1
-accuracy, unless a dense LU (`stationary_direct`) is the cheaper of the
-two. Power iteration (`stationary_power`) stays as an independent oracle.
+popularity: ``P = a * Y + (1 - a) * 1 p0^T``. This module solves for that
+chain's stationary distribution and evaluates the cost and quality
+metrics defined on top of it. `stationary` is the solver the optimizers
+and metrics call: it runs the fixed point ``pi <- (1-a) p0 + a Y^T pi``
+through Y's nonzeros, to a certified l1 accuracy, unless a dense LU
+(`stationary_direct`) is the cheaper of the two.
 """
 
 import logging
@@ -26,10 +25,8 @@ from .model import (
 )
 
 __all__ = [
-    "build_transition",
     "stationary",
     "stationary_direct",
-    "stationary_power",
     "expected_cost",
     "cache_hit_ratio",
     "quality_of",
@@ -43,22 +40,6 @@ _FIXED_POINT_TOL = 1e-14
 # step, t* (nnz + K), is at most this fraction of the LU's K^3.
 _FIXED_POINT_RATIO = 0.01
 _LOG_LINE = "stationary: %s, %d steps, l1 bound %.1e"
-
-
-def build_transition(y: RecMatrix, m: RequestModel) -> np.ndarray:
-    """Assemble the request transition matrix ``a*Y + (1-a)*1 p0^T``.
-
-    Rows are renormalized to kill the feasibility-tolerance dust a solver
-    may have left in Y, so each row sums to 1 within 1e-12.
-    """
-    yv = np.asarray(y, dtype=float)
-    p0 = np.asarray(m.popularity, dtype=float)
-    if yv.shape != (p0.size, p0.size):
-        raise ValueError(f"dimension mismatch: Y is {yv.shape}, popularity has {p0.size}")
-    a = m.follow_prob
-    p = a * yv + (1.0 - a) * p0[None, :]
-    p /= p.sum(axis=1, keepdims=True)
-    return p
 
 
 def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
@@ -165,30 +146,6 @@ def stationary_direct(y: RecMatrix, m: RequestModel) -> StationaryVector:
     # Direct solves can leave harmless negative dust when p0 has zeros.
     pi = np.where(np.abs(pi) < 1e-15, np.abs(pi), pi)
     return StationaryVector(pi)
-
-
-def stationary_power(p: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> StationaryVector:
-    """Stationary distribution by power iteration from the uniform start.
-
-    Iterates ``pi^T <- pi^T P`` until the l1 change drops to `tol`.
-    Kept deliberately independent of `stationary_direct` so the two can
-    cross-check each other.
-    """
-    pm = np.asarray(p, dtype=float)
-    if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
-        raise ValueError("transition matrix must be square")
-    k = pm.shape[0]
-    pi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        nxt = pi @ pm
-        delta = np.abs(nxt - pi).sum()
-        pi = nxt
-        if delta <= tol:
-            return StationaryVector(pi / pi.sum())
-    raise RuntimeError(
-        f"power iteration did not reach tol={tol:g} in {max_iter} iterations; "
-        f"final l1 change {delta:.3e}"
-    )
 
 
 def expected_cost(pi, x) -> float:

@@ -9,10 +9,8 @@ halved whenever the objective increases. The quadratic term is a
 matvec ``v -> Qv`` of a nonzero operator that must be linear, since each
 step applies it once and blends earlier products for the rest.
 
-The exact projections onto the recommendation rows' polytopes
-(`project_row_polytope`, and the sort-based capped-simplex projection
-behind it) are exposed on their own; the latter is also the
-recommendation step's row solver in `cacherec.optim`.
+The sort-based projection onto a capped simplex, `_project_capped`, is
+the recommendation step's row solver in `cacherec.optim`.
 """
 
 from dataclasses import dataclass
@@ -21,20 +19,14 @@ import numpy as np
 
 __all__ = [
     "QpSolution",
-    "InfeasiblePolytopeError",
     "solve_qp",
     "project_simplex",
-    "project_row_polytope",
     "OPTIMAL",
     "MAXITER",
 ]
 
 OPTIMAL = "Optimal"
 MAXITER = "MaxIter"
-
-
-class InfeasiblePolytopeError(ValueError):
-    """Raised when a projection target set is provably empty."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,30 +84,6 @@ def _project_capped(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
     free = int(n_cap[j] - n_low[j])
     tau = ts[j] + (s[j] - 1.0) / free if free > 0 else ts[j]
     return np.minimum(np.maximum(v - tau, 0.0), upper)
-
-
-def project_row_polytope(v, list_size: int, self_idx: int) -> np.ndarray:
-    """Project a row onto ``{y : sum y = 1, 0 <= y <= 1/N, y[self_idx] = 0}``.
-
-    Exact sort-based search for the sum-constraint shift; the pinned
-    coordinate is handled as a zero-width box.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("project_row_polytope expects a vector")
-    k = v.size
-    n = int(list_size)
-    if n < 1:
-        raise ValueError("list size must be >= 1")
-    if not (0 <= self_idx < k):
-        raise ValueError(f"self index {self_idx} out of range for K={k}")
-    if (k - 1) < n:
-        raise InfeasiblePolytopeError(
-            f"row polytope is empty: need (K-1)/N >= 1, got K={k}, N={n}"
-        )
-    upper = np.full(k, 1.0 / n)
-    upper[self_idx] = 0.0
-    return _project_capped(v, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ running. All randomness flows from one seeded generator, so runs are
 bit-reproducible.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ __all__ = [
     "sample_rec_list",
     "simulate",
 ]
+
+
+def _is_whole(v) -> bool:
+    """True for an integer, or a float without a fractional part (JSON's ``4.0``)."""
+    return isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
 
 
 @dataclass(frozen=True)
@@ -59,12 +65,15 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_requests < 1:
-            raise ValueError("total_requests must be >= 1")
+        if not _is_whole(self.total_requests) or self.total_requests < 1:
+            raise ValueError("total_requests must be a whole number >= 1")
+        object.__setattr__(self, "total_requests", int(self.total_requests))
         if self.session_kind not in ("fixed", "geometric"):
             raise ValueError("session_kind must be 'fixed' or 'geometric'")
         if self.session_param < 1:
             raise ValueError("session_param must be >= 1")
+        if self.session_kind == "fixed" and not _is_whole(self.session_param):
+            raise ValueError("a fixed session_param is a length: it must be a whole number")
 
 
 @dataclass(frozen=True)

@@ -21,23 +21,21 @@ from cacherec import (
     SessionConfig,
     SimilarityMatrix,
     anchored_similarity,
-    build_transition,
     cache_hit_ratio,
     cars_solve,
     myopic_solve,
-    project_row_polytope,
     quality_of,
     run_experiment,
     sample_rec_list,
     simulate,
     stationary_direct,
-    stationary_power,
     top_c_cache,
     top_n_similarity,
     validate_rec_matrix,
     zipf_popularity,
 )
-from oracles import best_deterministic_cost, row_lp_oracle
+from cacherec.qp import _project_capped
+from oracles import best_deterministic_cost, power_ref, row_lp_oracle, transition_ref
 
 _REPORT = []
 
@@ -60,6 +58,13 @@ def one_step_cost(y, inputs) -> float:
     a = inputs.model.follow_prob
     x = np.asarray(inputs.cost, dtype=float)
     return float(p0 @ (a * np.asarray(y, dtype=float) @ x + (1.0 - a) * float(p0 @ x)))
+
+
+def random_row(rng, k: int, n: int, i: int) -> np.ndarray:
+    """A uniform draw projected onto row i's polytope: caps 1/N, none on i."""
+    upper = np.full(k, 1.0 / n)
+    upper[i] = 0.0
+    return _project_capped(rng.uniform(size=k), upper)
 
 
 def miss_cost_vector(k: int, cached) -> np.ndarray:
@@ -101,14 +106,14 @@ def test_criterion_01_stationary_solvers_agree():
         n = int(rng.integers(1, 5))
         y = np.zeros((k, k))
         for i in range(k):
-            y[i] = project_row_polytope(rng.uniform(size=k), n, i)
+            y[i] = random_row(rng, k, n, i)
         ym = RecMatrix(y, n)
         p0 = rng.uniform(0.05, 1.0, k)
         p0 /= p0.sum()
         m = RequestModel(p0, a, n)
         pi_d = np.asarray(stationary_direct(ym, m), dtype=float)
-        p = build_transition(ym, m)
-        pi_p = np.asarray(stationary_power(p), dtype=float)
+        p = transition_ref(y, p0, a)
+        pi_p = power_ref(p)
         worst_gap = max(worst_gap, float(np.abs(pi_d - pi_p).max()))
         worst_resid = max(worst_resid, float(np.abs(pi_d @ p - pi_d).max()))
     wall = time.perf_counter() - t0
@@ -433,7 +438,7 @@ def test_criterion_10_sampler_inclusion_marginals():
     worst_excess = -np.inf
     for row_idx in range(10):
         n = (2, 3, 4)[row_idx % 3]
-        y_row = project_row_polytope(rng.uniform(size=k), n, row_idx % k)
+        y_row = random_row(rng, k, n, row_idx % k)
         z = n * np.asarray(y_row, dtype=float)
         lists = sample_rec_list(y_row, n, rng, size=draws)
         freq = np.bincount(lists.ravel(), minlength=k) / draws

@@ -197,6 +197,21 @@ class TestRunCommand:
         )
         assert cli.main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        {"list_sizes": [4.5]},
+        {"session": {"total_requests": 2000.5}},
+        {"session": {"total_requests": 400, "session_param": 50.7}},
+        {"seed": 1.5},
+    ])
+    def test_non_integral_count_exits_one(self, tmp_path, capsys, override):
+        cfg = write_scenario(tmp_path, **override)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "whole number" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_bad_policies_override_exits_one(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)
         rc = cli.main(

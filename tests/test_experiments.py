@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 import types
 from dataclasses import replace
 
@@ -167,11 +168,21 @@ class TestScenarioConfigValidation:
             ("qualities", (1.5,)),
             ("cache_fractions", (0.0,)),
             ("follow_probs", (1.0,)),
+            ("list_sizes", (4.5,)),
+            ("seed", 1.5),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_sweep_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
             small_cfg(**{field: value})
+
+    def test_whole_floats_read_as_integers(self):
+        cfg = small_cfg(list_sizes=(2.0,), seed=7.0,
+                        session=SessionConfig(total_requests=2000.0, session_param=50.0))
+        assert isinstance(cfg.seed, int) and isinstance(cfg.session.total_requests, int)
+        assert rows_without_wall(run_experiment(cfg)) == rows_without_wall(
+            run_experiment(small_cfg()))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown policies"):
@@ -250,6 +261,50 @@ class TestRunExperiment:
     def test_threads_match_serial(self, base_rows):
         threaded = run_experiment(small_cfg(), threads=2)
         assert rows_without_wall(threaded) == rows_without_wall(base_rows)
+
+    def test_one_myopic_solve_per_grid_point(self, monkeypatch):
+        calls = []
+        real = experiments.myopic_solve
+
+        def spy(inputs):
+            calls.append(float(inputs.quality.max()))
+            return real(inputs)
+
+        monkeypatch.setattr(experiments, "myopic_solve", spy)
+        rows = run_experiment(small_cfg(qualities=(0.4, 0.5)))
+        assert [r["policy"] for r in rows] == list(CANONICAL_POLICIES) * 2
+        assert calls == [0.4, 0.5]
+
+    def test_cars_starts_from_the_myopic_rows_matrix(self, monkeypatch):
+        # the myopic row's CHR is taken of the matrix that row reports
+        rated, warm_starts = [], []
+        real_chr, real_cars = experiments.cache_hit_ratio, experiments.cars_solve
+
+        def chr_spy(y, model, cached):
+            rated.append(y)
+            return real_chr(y, model, cached)
+
+        def cars_spy(inputs, cfg):
+            warm_starts.append(cfg.y0)
+            return real_cars(inputs, cfg)
+
+        monkeypatch.setattr(experiments, "cache_hit_ratio", chr_spy)
+        monkeypatch.setattr(experiments, "cars_solve", cars_spy)
+        run_experiment(small_cfg())
+        assert len(rated) == 2 and len(warm_starts) == 1
+        assert warm_starts[0] is rated[0]
+
+    def test_cars_wall_time_includes_the_myopic_solve(self, monkeypatch):
+        real = experiments.myopic_solve
+
+        def slow(inputs):
+            time.sleep(0.05)
+            return real(inputs)
+
+        monkeypatch.setattr(experiments, "myopic_solve", slow)
+        rows = run_experiment(small_cfg())
+        wall = {r["policy"]: r["wall_millis"] for r in rows}
+        assert wall["myopic"] >= 50.0 and wall["cars"] >= 50.0
 
     def test_converged_column_carries_cars_result(self, monkeypatch):
         seen = []

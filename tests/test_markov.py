@@ -1,4 +1,4 @@
-"""Transition construction, stationary solves, and chain metrics."""
+"""Stationary solves and chain metrics."""
 
 import logging
 import math
@@ -14,13 +14,11 @@ from cacherec import (
     RecMatrix,
     RequestModel,
     SimilarityMatrix,
-    build_transition,
     cache_hit_ratio,
     expected_cost,
     quality_of,
     stationary,
     stationary_direct,
-    stationary_power,
 )
 
 from oracles import power_ref, stationary_ref, transition_ref
@@ -36,46 +34,6 @@ def random_rec_matrix(k: int, n: int, rng) -> RecMatrix:
 
 
 SWAP = RecMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), list_size=1)
-
-
-class TestBuildTransition:
-    def test_a_zero_collapses_to_popularity(self):
-        m = RequestModel([0.3, 0.7], 0.0, 1)
-        p = build_transition(SWAP, m)
-        assert_allclose(p, [[0.3, 0.7], [0.3, 0.7]], atol=1e-15)
-
-    def test_a_near_one_approaches_y(self):
-        m = RequestModel([0.5, 0.5], 0.999, 1)
-        p = build_transition(SWAP, m)
-        assert_allclose(p, np.asarray(SWAP), atol=2e-3)
-
-    def test_direct_evaluation(self):
-        m = RequestModel([0.5, 0.5], 0.8, 1)
-        p = build_transition(SWAP, m)
-        assert_allclose(p, [[0.1, 0.9], [0.9, 0.1]], atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        for k, n in [(5, 1), (8, 3), (20, 4)]:
-            y = random_rec_matrix(k, n, rng)
-            p0 = rng.random(k)
-            m = RequestModel(p0 / p0.sum(), 0.7, n)
-            p = build_transition(y, m)
-            assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        m = RequestModel([0.2, 0.3, 0.5], 0.5, 1)
-        with pytest.raises(ValueError, match="mismatch"):
-            build_transition(SWAP, m)
-
-    def test_matches_reference_assembly(self):
-        rng = np.random.default_rng(1)
-        y = random_rec_matrix(6, 2, rng)
-        p0 = rng.random(6)
-        p0 /= p0.sum()
-        m = RequestModel(p0, 0.6, 2)
-        assert_allclose(build_transition(y, m),
-                        transition_ref(np.asarray(y), p0, 0.6), atol=1e-14)
 
 
 class TestStationaryDirect:
@@ -124,8 +82,9 @@ class TestStationaryDirect:
             p0 /= p0.sum()
             m = RequestModel(p0, 0.85, 2)
             pi = np.asarray(stationary_direct(y, m))
-            ref = stationary_ref(transition_ref(np.asarray(y), p0, 0.85))
-            assert np.abs(pi - ref).max() <= 1e-12
+            p = transition_ref(np.asarray(y), p0, 0.85)
+            assert np.abs(pi - stationary_ref(p)).max() <= 1e-12
+            assert np.abs(pi - power_ref(p)).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_in_place_system_matches_eye_minus_ay_lu(self, seed):
@@ -295,41 +254,6 @@ class TestStationary:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
         assert not [r for r in caplog.records if r.name == "cacherec"]
-
-
-class TestStationaryPower:
-    def test_identity_fixed_point(self):
-        pi = stationary_power(np.eye(2))
-        assert_allclose(np.asarray(pi), [0.5, 0.5], atol=1e-15)
-
-    def test_rank_one_chain_converges_to_row(self):
-        r = np.array([0.2, 0.3, 0.5])
-        p = np.tile(r, (3, 1))
-        pi = stationary_power(p)
-        assert_allclose(np.asarray(pi), r, atol=1e-14)
-
-    def test_non_convergence_reports_residual(self):
-        # period-2 chain {0} <-> {1,2}: the uniform start oscillates
-        # between [2/3,1/6,1/6] and [1/3,1/3,1/3] forever
-        p = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(RuntimeError, match="final l1 change"):
-            stationary_power(p, tol=1e-12, max_iter=50)
-
-    def test_cross_oracle_agreement(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            k = int(rng.integers(3, 15))
-            y = random_rec_matrix(k, 1, rng)
-            p0 = rng.random(k) + 0.05
-            p0 /= p0.sum()
-            a = float(rng.random() * 0.9)
-            m = RequestModel(p0, a, 1)
-            p = build_transition(y, m)
-            tol = 1e-11
-            direct = np.asarray(stationary_direct(y, m))
-            power = np.asarray(stationary_power(p, tol=tol, max_iter=100000))
-            assert np.abs(direct - power).max() <= 10 * tol
-            assert np.abs(direct - power_ref(p)).max() <= 1e-10
 
 
 class TestExpectedCost:

@@ -6,14 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cacherec.qp import (
-    MAXITER,
-    OPTIMAL,
-    InfeasiblePolytopeError,
-    project_row_polytope,
-    project_simplex,
-    solve_qp,
-)
+from cacherec.qp import MAXITER, OPTIMAL, _project_capped, project_simplex, solve_qp
 
 from oracles import qp_oracle
 
@@ -29,6 +22,14 @@ def simplex_oracle(c, quad):
     ref, _ = qp_oracle(c=c, quad=quad, a_eq=np.ones((1, n)), b_eq=np.array([1.0]),
                        lower=np.zeros(n))
     return ref
+
+
+def project_row(v, n: int, i: int) -> np.ndarray:
+    """`_project_capped` onto row i's polytope: caps 1/N, and 0 at the self index."""
+    v = np.asarray(v, dtype=float)
+    upper = np.full(v.size, 1.0 / n)
+    upper[i] = 0.0
+    return _project_capped(v, upper)
 
 
 def qp_objective(c, matvec, v: np.ndarray) -> float:
@@ -76,19 +77,15 @@ class TestProjectSimplex:
 class TestProjectRowPolytope:
     def test_feasible_row_unchanged(self):
         v = np.array([0.0, 0.5, 0.3, 0.2])
-        npt.assert_allclose(project_row_polytope(v, 2, 0), v, atol=1e-12)
+        npt.assert_allclose(project_row(v, 2, 0), v, atol=1e-12)
 
     def test_zero_diagonal_then_feasible(self):
-        got = project_row_polytope(np.array([5.0, 0.5, 0.5]), 1, 0)
+        got = project_row(np.array([5.0, 0.5, 0.5]), 1, 0)
         npt.assert_allclose(got, [0.0, 0.5, 0.5], atol=1e-12)
 
     def test_uniform_excess_clips_to_thirds(self):
-        got = project_row_polytope(np.ones(4), 2, 3)
+        got = project_row(np.ones(4), 2, 3)
         npt.assert_allclose(got, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
-
-    def test_too_small_catalog_rejected(self):
-        with pytest.raises(InfeasiblePolytopeError):
-            project_row_polytope(np.array([0.5, 0.5]), 2, 0)
 
     def test_feasibility_randomized(self):
         rng = np.random.default_rng(3)
@@ -96,7 +93,7 @@ class TestProjectRowPolytope:
             k = int(rng.integers(3, 10))
             n = int(rng.integers(1, k - 1))
             i = int(rng.integers(k))
-            p = project_row_polytope(rng.normal(0.0, 2.0, k), n, i)
+            p = project_row(rng.normal(0.0, 2.0, k), n, i)
             assert abs(p.sum() - 1.0) <= 1e-10
             assert p[i] == 0.0
             assert np.all(p >= -1e-12)
@@ -108,9 +105,9 @@ class TestProjectRowPolytope:
             k, n, i = 6, 2, 3
             u = rng.normal(0.0, 2.0, k)
             v = rng.normal(0.0, 2.0, k)
-            pu = project_row_polytope(u, n, i)
-            pv = project_row_polytope(v, n, i)
-            npt.assert_allclose(project_row_polytope(pu, n, i), pu, atol=1e-10)
+            pu = project_row(u, n, i)
+            pv = project_row(v, n, i)
+            npt.assert_allclose(project_row(pu, n, i), pu, atol=1e-10)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-10
 
 

@@ -101,10 +101,8 @@ class TestSampleRecList:
         n = 2
         y = y / y.sum()
         draws = 200_000
-        counts = np.zeros(4)
-        for _ in range(draws):
-            counts[sample_rec_list(y, n, rng)] += 1
-        freq = counts / draws
+        lists = sample_rec_list(y, n, rng, size=draws)
+        freq = np.bincount(lists.ravel(), minlength=4) / draws
         z = n * y
         sigma = np.sqrt(np.maximum(z * (1 - z), 1e-12) / draws)
         assert np.all(np.abs(freq - z) <= 3.0 * sigma + 1e-9)
@@ -243,6 +241,13 @@ class TestSimulate:
             SessionConfig(total_requests=0)
         with pytest.raises(ValueError, match="session_kind"):
             SessionConfig(total_requests=10, session_kind="poisson")
+        with pytest.raises(ValueError, match="total_requests"):
+            SessionConfig(total_requests=2000.5)
+        with pytest.raises(ValueError, match="fixed session_param"):
+            SessionConfig(total_requests=10, session_param=50.7)
+        # a geometric session_param is a mean, and a whole float is a count
+        cfg = SessionConfig(total_requests=10.0, session_kind="geometric", session_param=50.7)
+        assert cfg.total_requests == 10 and isinstance(cfg.total_requests, int)
 
 
 def cycle_instance(k, a=ALWAYS, quality=0.75):
