@@ -21,10 +21,10 @@ import numpy as np
 
 from .datasets import anchored_similarity, prepare_lastfm, prepare_movielens, zipf_popularity
 from .markov import cache_hit_ratio
-from .model import RequestModel, SimilarityMatrix
+from .model import RequestModel, SimilarityMatrix, _is_whole
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
 from .serialize import load_matrix, open_text
-from .simulate import SessionConfig, _is_whole, simulate, top_c_cache
+from .simulate import SessionConfig, simulate, top_c_cache
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -107,6 +107,9 @@ class ScenarioConfig:
         if d["kind"] == "synthetic":
             if "size" not in d:
                 raise ConfigError("synthetic dataset needs a 'size'")
+            for key in ("size", "min_related", "seed"):
+                if key in d and (not _is_whole(d[key]) or d[key] < 0):
+                    raise ConfigError(f"synthetic {key} must be a whole number >= 0")
         elif "path" not in d:
             raise ConfigError(f"{d['kind']} dataset needs a 'path'")
         for name in ("list_sizes", "zipf_exponents", "qualities",

@@ -13,7 +13,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     CostVector,
@@ -112,22 +111,20 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
 def stationary_direct(y: RecMatrix, m: RequestModel) -> StationaryVector:
     """Stationary distribution via a direct linear solve.
 
-    Solves ``pi^T (I - a Y) = (1 - a) p0^T`` with an LU factorization
-    (never an explicit inverse), normalizes, and verifies stationarity to
-    1e-10 in the infinity norm.
+    Solves ``pi^T (I - a Y) = (1 - a) p0^T`` with ``np.linalg.solve``, a
+    partial-pivot LU factorization (LAPACK ``gesv``, never an explicit
+    inverse), normalizes, and verifies stationarity to 1e-10 in the
+    infinity norm.
     """
     yv = np.asarray(y, dtype=float)
     p0 = np.asarray(m.popularity, dtype=float)
     a = m.follow_prob
     k = p0.size
-    # I - a Y^T, built in place: (-a Y)^T is already Fortran-ordered, so
-    # the LU overwrites it without a copy.
-    system = (-a * yv).T
+    system = (-a * yv).T  # I - a Y^T
     system[np.diag_indices(k)] += 1.0
     try:
-        lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
-        pi = scipy.linalg.lu_solve((lu, piv), (1.0 - a) * p0)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - a<1 keeps it regular
+        pi = np.linalg.solve(system, (1.0 - a) * p0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - a<1 keeps it regular
         raise np.linalg.LinAlgError(
             f"stationary solve failed (a={a}): {exc}"
         ) from exc

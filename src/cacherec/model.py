@@ -6,6 +6,7 @@ Every type is immutable afterwards (the wrapped arrays are marked
 read-only), so instances are safe to share across threads.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,11 @@ __all__ = [
 # StationaryVector's sign and total mass.
 _REC_TOL = 1e-6
 _STATIONARY_TOL = 1e-8
+
+
+def _is_whole(v) -> bool:
+    """True for an integer, or a float without a fractional part (JSON's ``4.0``)."""
+    return isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
 
 
 def _freeze(a) -> np.ndarray:

@@ -38,6 +38,7 @@ from .model import (
     RequestModel,
     SimilarityMatrix,
     StationaryVector,
+    _is_whole,
     _nonzeros,
 )
 from .qp import MAXITER, _project_capped, solve_qp
@@ -527,8 +528,11 @@ class CarsConfig:
     subproblem_max_iter: int = 8000
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("max_iter", "subproblem_max_iter"):
+            v = getattr(self, name)
+            if not _is_whole(v) or v < 1:
+                raise ValueError(f"{name} must be a whole number >= 1")
+            setattr(self, name, int(v))
 
 
 @dataclass

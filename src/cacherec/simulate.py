@@ -17,12 +17,11 @@ running. All randomness flows from one seeded generator, so runs are
 bit-reproducible.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopularityVector, RecMatrix, RequestModel, SimilarityMatrix
+from .model import PopularityVector, RecMatrix, RequestModel, SimilarityMatrix, _is_whole
 
 __all__ = [
     "CachePlacement",
@@ -32,11 +31,6 @@ __all__ = [
     "sample_rec_list",
     "simulate",
 ]
-
-
-def _is_whole(v) -> bool:
-    """True for an integer, or a float without a fractional part (JSON's ``4.0``)."""
-    return isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
 
 
 @dataclass(frozen=True)

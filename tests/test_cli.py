@@ -202,6 +202,10 @@ class TestRunCommand:
         {"session": {"total_requests": 2000.5}},
         {"session": {"total_requests": 400, "session_param": 50.7}},
         {"seed": 1.5},
+        {"dataset": {"kind": "synthetic", "size": 12.7, "mean_related": 6.0, "seed": 3}},
+        {"dataset": {"kind": "synthetic", "size": 12, "mean_related": 6.0, "seed": 3.5}},
+        {"cars": {"max_iter": 2.5}},
+        {"cars": {"subproblem_max_iter": 100.5}},
     ])
     def test_non_integral_count_exits_one(self, tmp_path, capsys, override):
         cfg = write_scenario(tmp_path, **override)

@@ -110,6 +110,19 @@ class TestScenarioConfigFromJson:
             with pytest.raises(ConfigError, match="unknown cars keys"):
                 ScenarioConfig.from_json(path)
 
+    @pytest.mark.parametrize("cars", [
+        {"max_iter": 2.5},
+        {"max_iter": 0},
+        {"subproblem_max_iter": 100.5},
+        {"subproblem_max_iter": 0},
+    ])
+    def test_bad_cars_cap_rejected(self, tmp_path, cars):
+        path = write_config(
+            tmp_path, {"dataset": {"kind": "synthetic", "size": 8}, "cars": cars}
+        )
+        with pytest.raises(ConfigError, match="must be a whole number >= 1"):
+            ScenarioConfig.from_json(path)
+
     def test_unknown_session_key_rejected(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -171,6 +184,10 @@ class TestScenarioConfigValidation:
             ("list_sizes", (4.5,)),
             ("seed", 1.5),
             ("seed", -1),
+            ("dataset", {"kind": "synthetic", "size": 12.7, "mean_related": 6.0, "seed": 3}),
+            ("dataset", {"kind": "synthetic", "size": 12, "mean_related": 6.0, "seed": 3.5}),
+            ("dataset", {"kind": "synthetic", "size": 12, "min_related": 3.5, "seed": 3}),
+            ("dataset", {"kind": "synthetic", "size": 12, "mean_related": 6.0, "seed": -1}),
         ],
     )
     def test_out_of_range_sweep_values_rejected(self, field, value):
@@ -178,9 +195,12 @@ class TestScenarioConfigValidation:
             small_cfg(**{field: value})
 
     def test_whole_floats_read_as_integers(self):
-        cfg = small_cfg(list_sizes=(2.0,), seed=7.0,
-                        session=SessionConfig(total_requests=2000.0, session_param=50.0))
+        cfg = small_cfg(
+            dataset={"kind": "synthetic", "size": 12.0, "mean_related": 6.0, "seed": 3.0},
+            list_sizes=(2.0,), seed=7.0, cars=CarsConfig(max_iter=4.0),
+            session=SessionConfig(total_requests=2000.0, session_param=50.0))
         assert isinstance(cfg.seed, int) and isinstance(cfg.session.total_requests, int)
+        assert isinstance(cfg.cars.max_iter, int)
         assert rows_without_wall(run_experiment(cfg)) == rows_without_wall(
             run_experiment(small_cfg()))
 

@@ -1,7 +1,13 @@
-"""Every exported name resolves, and the package exports exactly its submodules' names."""
+"""Every exported name resolves, the package exports exactly its submodules' names,
+and importing it loads numpy but not scipy."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +42,16 @@ def test_package_all_is_union_of_submodule_alls():
         if name != "cli":
             expected |= set(importlib.import_module(f"cacherec.{name}").__all__)
     assert set(cacherec.__all__) == expected
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the test run has loaded do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import cacherec, cacherec.cli, json, sys; print(json.dumps([cacherec.__file__, "
+            "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    origin, scipy_modules = json.loads(out.stdout)
+    assert Path(origin).resolve().is_relative_to(src)
+    assert scipy_modules == []

@@ -899,8 +899,10 @@ class TestCarsSolve:
         assert np.all(np.isfinite(res.cost_trace))
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            CarsConfig(max_iter=0)
+        for caps in ({"max_iter": 0}, {"max_iter": 2.5},
+                     {"subproblem_max_iter": 0}, {"subproblem_max_iter": 100.5}):
+            with pytest.raises(ValueError, match="max_iter must be a whole number >= 1"):
+                CarsConfig(**caps)
         # the penalty weight and the accuracy targets are constants
         for knob in ("rho", "acc1", "acc2", "subproblem_tol"):
             with pytest.raises(TypeError):
