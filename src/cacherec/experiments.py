@@ -120,8 +120,8 @@ class ScenarioConfig:
             object.__setattr__(self, name, seq)
         if any(not _is_whole(n) or n < 1 for n in self.list_sizes):
             raise ConfigError("every list size must be a whole number >= 1")
-        if any(s < 0 for s in self.zipf_exponents):
-            raise ConfigError("Zipf exponents must be >= 0")
+        if any(not 0.0 <= s < np.inf for s in self.zipf_exponents):
+            raise ConfigError("Zipf exponents must be finite and >= 0")
         if any(not 0.0 <= q <= 1.0 for q in self.qualities):
             raise ConfigError("every quality floor must lie in [0, 1]")
         if any(not 0.0 < c <= 1.0 for c in self.cache_fractions):

@@ -1,12 +1,12 @@
 """Markov-chain mathematics of the sequential request model.
 
 The request chain mixes the recommendation matrix with the baseline
-popularity: ``P = a * Y + (1 - a) * 1 p0^T``. This module solves for that
-chain's stationary distribution and evaluates the cost and quality
-metrics defined on top of it. `stationary` is the solver the optimizers
-and metrics call: it runs the fixed point ``pi <- (1-a) p0 + a Y^T pi``
-through Y's nonzeros, to a certified l1 accuracy, unless a dense LU
-(`stationary_direct`) is the cheaper of the two.
+popularity: ``P = a * Y + (1 - a) * 1 p0^T``; `_chain` applies P and P^T
+through Y's nonzeros for this module and for the CARS steps. `stationary`
+is the solver the optimizers and metrics call: it iterates
+``pi <- P^T pi`` to a certified l1 accuracy, unless a dense LU
+(`stationary_direct`) is the cheaper of the two; both end in one check.
+The module also evaluates the cost and quality metrics of the chain.
 """
 
 import logging
@@ -41,13 +41,51 @@ _FIXED_POINT_RATIO = 0.01
 _LOG_LINE = "stationary: %s, %d steps, l1 bound %.1e"
 
 
+def _chain(y, m: RequestModel):
+    """``v -> P v`` and ``v -> P^T v`` for ``P = a Y + (1-a) 1 p0^T``.
+
+    Both apply Y through its nonzeros, in O(nnz + K) each; a RecMatrix
+    takes them once, for every caller.
+    """
+    rows, cols, vals = _nonzeros(y)
+    p0 = np.asarray(m.popularity, dtype=float)
+    a = m.follow_prob
+    k = p0.size
+    ay = a * vals
+
+    def p_vec(v):
+        return np.bincount(rows, ay * v[cols], k) + (1.0 - a) * float(p0 @ v)
+
+    def pt_vec(v):
+        return np.bincount(cols, ay * v[rows], k) + ((1.0 - a) * v.sum()) * p0
+
+    return p_vec, pt_vec
+
+
+def _verified(pi, pt_vec, solve: str) -> StationaryVector:
+    """`pi` scaled to sum 1, verified to satisfy ``pi = P^T pi`` to 1e-10 in
+    the infinity norm, and cleared of the negative dust a solve can leave
+    where p0 has zeros; errors name the `solve`."""
+    total = pi.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise np.linalg.LinAlgError(
+            f"stationary {solve} produced an invalid distribution (sum={total})"
+        )
+    pi = pi / total
+    resid = np.abs(pi - pt_vec(pi)).max()
+    if resid > 1e-10:
+        raise np.linalg.LinAlgError(
+            f"stationary residual {resid:.3e} exceeds 1e-10 after the {solve}"
+        )
+    return StationaryVector(np.where(np.abs(pi) < 1e-15, np.abs(pi), pi))
+
+
 def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
     """Stationary distribution by the cheaper of two exact solvers.
 
-    Solves ``pi^T (I - a Y) = (1 - a) p0^T`` by the fixed point
-    ``pi <- (1-a) p0 + a Y^T pi`` from ``p0``, applying ``Y^T pi`` through
-    Y's nonzeros in O(nnz + K) per step (a RecMatrix takes them once, for
-    every caller). Y is row-stochastic, so the map
+    Solves ``pi^T (I - a Y) = (1 - a) p0^T`` by the power iteration
+    ``pi <- P^T pi`` from ``p0``, applying ``P^T`` through `_chain` in
+    O(nnz + K) per step. Y is row-stochastic, so the map
     contracts by `a` in l1, and step t is within both
     ``a/(1-a) ||pi_t - pi_(t-1)||_1`` and ``2 a^t`` of the solution. The
     loop stops once the first bound is at most 1e-14, and at the latest
@@ -69,43 +107,26 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
         _log.debug(_LOG_LINE, "popularity", 0, 0.0)
         return StationaryVector(p0)
     t_cap = math.ceil(math.log(0.5 * _FIXED_POINT_TOL) / math.log(a))
-    rows, cols, vals = _nonzeros(y)
-    if t_cap * (vals.size + k) > _FIXED_POINT_RATIO * k**3:
+    if t_cap * (_nonzeros(y)[2].size + k) > _FIXED_POINT_RATIO * k**3:
         pi = stationary_direct(y, m)
         if _log.isEnabledFor(logging.DEBUG):
             # ||pi - pi*||_1 <= ||(I - a Y^T)^-1||_1 ||residual||_1 <= ||residual||_1 / (1-a)
             pv = np.asarray(pi)
-            resid = np.abs(pv - a * (pv @ yv) - (1.0 - a) * p0).sum()
+            resid = np.abs(pv - _chain(y, m)[1](pv)).sum()
             _log.debug(_LOG_LINE, "lu", 0, resid / (1.0 - a))
         return pi
 
-    ay = a * vals
-    b = (1.0 - a) * p0
-
-    def step(v):  # (1-a) p0 + a Y^T v
-        return np.bincount(cols, ay * v[rows], k) + b
-
+    _, pt_vec = _chain(y, m)
     pi = p0
     for t in range(1, t_cap + 1):
-        nxt = step(pi)
+        nxt = pt_vec(pi)
         bound = min(a / (1.0 - a) * float(np.abs(nxt - pi).sum()), 2.0 * a**t)
         pi = nxt
         if bound <= _FIXED_POINT_TOL:
             break
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise np.linalg.LinAlgError(
-            f"stationary fixed point produced an invalid distribution (sum={total!r})"
-        )
-    pi = pi / total
-    resid = np.abs(pi - step(pi)).max()
-    if resid > 1e-10:
-        raise np.linalg.LinAlgError(
-            f"stationary residual {resid:.3e} exceeds 1e-10 after {t} fixed-point steps"
-        )
+    pi = _verified(pi, pt_vec, f"fixed point ({t} steps)")
     _log.debug(_LOG_LINE, "fixed point", t, bound)
-    pi = np.where(np.abs(pi) < 1e-15, np.abs(pi), pi)
-    return StationaryVector(pi)
+    return pi
 
 
 def stationary_direct(y: RecMatrix, m: RequestModel) -> StationaryVector:
@@ -128,21 +149,7 @@ def stationary_direct(y: RecMatrix, m: RequestModel) -> StationaryVector:
         raise np.linalg.LinAlgError(
             f"stationary solve failed (a={a}): {exc}"
         ) from exc
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise np.linalg.LinAlgError(
-            f"stationary solve produced an invalid distribution (sum={total!r})"
-        )
-    pi /= total
-    step = a * (pi @ yv) + (1.0 - a) * p0
-    resid = np.abs(pi - step).max()
-    if resid > 1e-10:
-        raise np.linalg.LinAlgError(
-            f"stationary residual {resid:.3e} exceeds 1e-10; system is ill-conditioned"
-        )
-    # Direct solves can leave harmless negative dust when p0 has zeros.
-    pi = np.where(np.abs(pi) < 1e-15, np.abs(pi), pi)
-    return StationaryVector(pi)
+    return _verified(pi, _chain(y, m)[1], f"LU solve (a={a})")
 
 
 def expected_cost(pi, x) -> float:

@@ -9,9 +9,10 @@ minimizes the long-run cost by alternating convex minimizations of an
 augmented Lagrangian in which the stationarity condition of the request
 chain enters as a penalized equality residual. Its distribution step is
 a QP over the probability simplex, solved iteratively by `solve_qp` with
-the transition operator applied through the nonzeros of Y, so a
-gradient step costs O(nnz(Y) + K) rather than O(K^2); a distribution
-step stopped at its step cap logs a warning. Its
+the transition operator applied by `markov._chain` through the nonzeros
+of Y, as is the stationarity residual, so a gradient step costs
+O(nnz(Y) + K) rather than O(K^2); a distribution step stopped at its
+step cap logs a warning. Its
 recommendation step needs no general QP: the penalized objective depends
 on Y only through ``Y^T pi``, so a block descent solves it row by row,
 each row an exact projection onto its polytope with the quality floor.
@@ -27,11 +28,12 @@ The true cost of each iterate comes from `markov.stationary`.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import expected_cost, stationary
+from .markov import _chain, expected_cost, stationary
 from .model import (
     CostVector,
     RecMatrix,
@@ -39,7 +41,6 @@ from .model import (
     SimilarityMatrix,
     StationaryVector,
     _is_whole,
-    _nonzeros,
 )
 from .qp import MAXITER, _project_capped, solve_qp
 
@@ -252,14 +253,11 @@ def residual_c(pi, y, m: RequestModel) -> np.ndarray:
     """Stationarity residual ``c = pi^T - pi^T (a Y + (1-a) 1 p0^T)``.
 
     Vanishes exactly when pi is the stationary distribution of the chain
-    induced by Y. Uses ``pi^T 1 p0^T = (sum pi) p0^T`` so the evaluation
-    stays at one matrix-vector product.
+    induced by Y. ``P^T pi`` is applied through Y's nonzeros
+    (`markov._chain`), in O(nnz + K).
     """
     pv = np.asarray(pi, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    p0 = np.asarray(m.popularity, dtype=float)
-    a = m.follow_prob
-    return pv - a * (yv.T @ pv) - (1.0 - a) * pv.sum() * p0
+    return pv - _chain(y, m)[1](pv)
 
 
 def augmented_lagrangian(pi, y, lam, rho: float, inputs: OptimInputs) -> float:
@@ -284,23 +282,13 @@ def cars_pi_step(
 
     With Y fixed the residual is linear in pi, so this is a convex QP
     with quadratic operator ``rho (I-P)(I-P^T)``. Y is sparse (about N
-    nonzeros per row), so ``P v`` and ``P^T v`` are applied through Y's
-    nonzeros, each in O(nnz + K); a RecMatrix takes its nonzeros once and
-    shares them with `markov.stationary`.
+    nonzeros per row), so ``P v`` and ``P^T v`` come from `markov._chain`,
+    each in O(nnz + K).
     """
     p0 = np.asarray(inputs.model.popularity, dtype=float)
-    a = inputs.model.follow_prob
     x = np.asarray(inputs.cost, dtype=float)
     lv = np.asarray(lam, dtype=float)
-    k = p0.size
-    rows, cols, vals = _nonzeros(y)
-    ay = a * vals
-
-    def p_vec(v):  # P v
-        return np.bincount(rows, ay * v[cols], k) + (1.0 - a) * float(p0 @ v)
-
-    def pt_vec(v):  # P^T v
-        return np.bincount(cols, ay * v[rows], k) + ((1.0 - a) * v.sum()) * p0
+    p_vec, pt_vec = _chain(y, inputs.model)
 
     def qmv(v):
         w = v - pt_vec(v)
@@ -533,6 +521,9 @@ class CarsConfig:
             if not _is_whole(v) or v < 1:
                 raise ValueError(f"{name} must be a whole number >= 1")
             setattr(self, name, int(v))
+        step = self.multiplier_step
+        if not isinstance(step, numbers.Real) or not 0.0 < step < np.inf:
+            raise ValueError("multiplier_step must be a finite number > 0")
 
 
 @dataclass

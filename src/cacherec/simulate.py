@@ -64,8 +64,8 @@ class SessionConfig:
         object.__setattr__(self, "total_requests", int(self.total_requests))
         if self.session_kind not in ("fixed", "geometric"):
             raise ValueError("session_kind must be 'fixed' or 'geometric'")
-        if self.session_param < 1:
-            raise ValueError("session_param must be >= 1")
+        if not 1 <= self.session_param < np.inf:
+            raise ValueError("session_param must be finite and >= 1")
         if self.session_kind == "fixed" and not _is_whole(self.session_param):
             raise ValueError("a fixed session_param is a length: it must be a whole number")
 

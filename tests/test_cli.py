@@ -335,6 +335,42 @@ class TestTraceCommand:
         assert cli.main(["trace", "--config", str(tmp_path / "absent.json")]) == 1
 
 
+# configs whose numbers are out of range or not finite, and the message each
+# gets; Python's json reads NaN and Infinity
+BAD_VALUES = {
+    "zipf-nan": ({"zipf_exponents": [float("nan")]},
+                 "Zipf exponents must be finite and >= 0"),
+    "zipf-infinity": ({"zipf_exponents": [float("inf")]},
+                      "Zipf exponents must be finite and >= 0"),
+    "geometric-session-nan": (
+        {"session": {"total_requests": 400, "session_kind": "geometric",
+                     "session_param": float("nan")}},
+        "invalid config: session_param must be finite and >= 1"),
+    "geometric-session-infinity": (
+        {"session": {"total_requests": 400, "session_kind": "geometric",
+                     "session_param": float("inf")}},
+        "invalid config: session_param must be finite and >= 1"),
+    "multiplier-step-string": ({"cars": {"multiplier_step": "abc"}},
+                               "invalid config: multiplier_step must be a finite number > 0"),
+    "multiplier-step-nan": ({"cars": {"multiplier_step": float("nan")}},
+                            "invalid config: multiplier_step must be a finite number > 0"),
+    "multiplier-step-negative": ({"cars": {"multiplier_step": -1.0}},
+                                 "invalid config: multiplier_step must be a finite number > 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_one_with_message(tmp_path, capsys, command, case):
+    override, message = BAD_VALUES[case]
+    cfg = trace_scenario(tmp_path, policies=["norec", "myopic", "cars"], **override)
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestPrepDatasetCommand:
     def test_prep_lastfm_outputs(self, tmp_path, capsys):
         src = lastfm_file(tmp_path)

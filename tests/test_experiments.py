@@ -115,12 +115,20 @@ class TestScenarioConfigFromJson:
         {"max_iter": 0},
         {"subproblem_max_iter": 100.5},
         {"subproblem_max_iter": 0},
+        {"multiplier_step": "abc"},
+        {"multiplier_step": float("nan")},
+        {"multiplier_step": float("inf")},
+        {"multiplier_step": -1.0},
     ])
     def test_bad_cars_cap_rejected(self, tmp_path, cars):
         path = write_config(
             tmp_path, {"dataset": {"kind": "synthetic", "size": 8}, "cars": cars}
         )
-        with pytest.raises(ConfigError, match="must be a whole number >= 1"):
+        if "multiplier_step" in cars:
+            match = "multiplier_step must be a finite number > 0"
+        else:
+            match = "must be a whole number >= 1"
+        with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_json(path)
 
     def test_unknown_session_key_rejected(self, tmp_path):
@@ -188,6 +196,8 @@ class TestScenarioConfigValidation:
             ("dataset", {"kind": "synthetic", "size": 12, "mean_related": 6.0, "seed": 3.5}),
             ("dataset", {"kind": "synthetic", "size": 12, "min_related": 3.5, "seed": 3}),
             ("dataset", {"kind": "synthetic", "size": 12, "mean_related": 6.0, "seed": -1}),
+            ("zipf_exponents", (float("nan"),)),
+            ("zipf_exponents", (0.6, float("inf"))),
         ],
     )
     def test_out_of_range_sweep_values_rejected(self, field, value):

@@ -256,6 +256,72 @@ class TestStationary:
         assert not [r for r in caplog.records if r.name == "cacherec"]
 
 
+def model_with_zero_popularity(k, rng, a=0.8, n=3):
+    """Random popularity with a few zero entries, and its request model."""
+    p0 = rng.random(k)
+    p0[[0, 3, k - 1]] = 0.0
+    p0 /= p0.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return RequestModel(p0, a, n)
+
+
+class TestChain:
+    @pytest.mark.parametrize("wrapped", [True, False])
+    def test_products_match_dense_transition_matrix(self, wrapped):
+        rng = np.random.default_rng(21)
+        k = 50
+        y = random_rec_matrix(k, 3, rng)
+        m = model_with_zero_popularity(k, rng)
+        p = transition_ref(np.asarray(y), m.popularity.values, m.follow_prob)
+        p_vec, pt_vec = markov._chain(y if wrapped else np.array(y), m)
+        for _ in range(5):
+            v = rng.random(k)
+            assert np.abs(p_vec(v) - p @ v).max() <= 1e-15
+            assert np.abs(pt_vec(v) - p.T @ v).max() <= 1e-15
+
+
+class TestVerified:
+    """The normalization and check that both stationary solvers end in."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(22)
+        self.y = random_rec_matrix(30, 3, rng)
+        self.m = model_with_zero_popularity(30, rng)
+
+    @pytest.mark.parametrize("scale,message", [
+        (0.0, r"^stationary test produced an invalid distribution \(sum=0\.0\)$"),
+        (np.nan, r"^stationary test produced an invalid distribution \(sum=nan\)$"),
+    ], ids=["zero", "nan"])
+    def test_rejects_a_vector_without_mass(self, scale, message):
+        _, pt_vec = markov._chain(self.y, self.m)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            markov._verified(scale * np.ones(30), pt_vec, "test")
+
+    @pytest.mark.parametrize("solution,message", [
+        (lambda system, b: np.zeros_like(b),
+         r"^stationary LU solve \(a=0\.8\) produced an invalid distribution \(sum=0\.0\)$"),
+        (lambda system, b: b, r"exceeds 1e-10 after the LU solve \(a=0\.8\)$"),
+    ], ids=["zero", "non-stationary"])
+    def test_lu_result_is_checked(self, solution, message, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", solution)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            stationary_direct(self.y, self.m)
+
+    def test_zero_fixed_point_result_is_rejected(self, monkeypatch, fixed_point_only):
+        monkeypatch.setattr(markov, "_chain", lambda y, m: (None, np.zeros_like))
+        with pytest.raises(np.linalg.LinAlgError, match=r"^stationary fixed point \(2 steps\) "
+                           r"produced an invalid distribution \(sum=0\.0\)$"):
+            stationary(self.y, self.m)
+
+    def test_unconverged_fixed_point_result_is_rejected(self, monkeypatch, fixed_point_only):
+        # a tolerance of 1 stops the iteration long before it is stationary
+        monkeypatch.setattr(markov, "_FIXED_POINT_TOL", 1.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"exceeds 1e-10 after the fixed point \(\d+ steps\)$"):
+            stationary(self.y, self.m)
+
+
 class TestExpectedCost:
     def test_all_ones(self):
         assert expected_cost([0.2, 0.3, 0.5], np.ones(3)) == pytest.approx(1.0)

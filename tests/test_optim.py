@@ -349,6 +349,20 @@ class TestResidual:
         c = residual_c(np.array([1.0, 0.0]), y, m)
         npt.assert_allclose(c, [0.75, -0.75], atol=1e-15)
 
+    @pytest.mark.parametrize("wrapped", [True, False])
+    def test_matches_dense_formula(self, wrapped):
+        rng = np.random.default_rng(7)
+        inputs = make_inputs(60, 3, rng, q=0.5)
+        y = top_n_similarity(inputs)
+        m = inputs.model
+        p0 = np.asarray(m.popularity)
+        a = m.follow_prob
+        for _ in range(5):
+            pi = rng.random(60)
+            dense = pi - a * (np.asarray(y).T @ pi) - (1.0 - a) * pi.sum() * p0
+            c = residual_c(pi, y if wrapped else np.array(y), m)
+            assert np.abs(c - dense).max() <= 1e-15
+
 
 class TestAugmentedLagrangian:
     def setup_method(self):
@@ -903,6 +917,9 @@ class TestCarsSolve:
                      {"subproblem_max_iter": 0}, {"subproblem_max_iter": 100.5}):
             with pytest.raises(ValueError, match="max_iter must be a whole number >= 1"):
                 CarsConfig(**caps)
+        for step in ("abc", float("nan"), float("inf"), -1.0, 0.0):
+            with pytest.raises(ValueError, match="multiplier_step must be a finite number > 0"):
+                CarsConfig(multiplier_step=step)
         # the penalty weight and the accuracy targets are constants
         for knob in ("rho", "acc1", "acc2", "subproblem_tol"):
             with pytest.raises(TypeError):

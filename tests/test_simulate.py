@@ -245,6 +245,9 @@ class TestSimulate:
             SessionConfig(total_requests=2000.5)
         with pytest.raises(ValueError, match="fixed session_param"):
             SessionConfig(total_requests=10, session_param=50.7)
+        for bad in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="session_param must be finite and >= 1"):
+                SessionConfig(total_requests=10, session_kind="geometric", session_param=bad)
         # a geometric session_param is a mean, and a whole float is a count
         cfg = SessionConfig(total_requests=10.0, session_kind="geometric", session_param=50.7)
         assert cfg.total_requests == 10 and isinstance(cfg.total_requests, int)
