@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import anchored_similarity, prepare_lastfm, prepare_movielens, zipf_popularity
 from .markov import cache_hit_ratio
-from .model import RequestModel, SimilarityMatrix, _is_whole
+from .model import RequestModel, SimilarityMatrix, _is_real, _is_whole
 from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
 from .serialize import load_matrix, open_text
 from .simulate import SessionConfig, simulate, top_c_cache
@@ -112,6 +112,9 @@ class ScenarioConfig:
                     raise ConfigError(f"synthetic {key} must be a whole number >= 0")
         elif "path" not in d:
             raise ConfigError(f"{d['kind']} dataset needs a 'path'")
+        for key in ("mean_related", "theta"):
+            if key in d and not (_is_real(d[key]) and -np.inf < d[key] < np.inf):
+                raise ConfigError(f"{d['kind']} {key} must be a finite number")
         for name in ("list_sizes", "zipf_exponents", "qualities",
                      "cache_fractions", "follow_probs", "policies"):
             seq = tuple(getattr(self, name))
@@ -120,13 +123,13 @@ class ScenarioConfig:
             object.__setattr__(self, name, seq)
         if any(not _is_whole(n) or n < 1 for n in self.list_sizes):
             raise ConfigError("every list size must be a whole number >= 1")
-        if any(not 0.0 <= s < np.inf for s in self.zipf_exponents):
+        if any(not (_is_real(s) and 0.0 <= s < np.inf) for s in self.zipf_exponents):
             raise ConfigError("Zipf exponents must be finite and >= 0")
-        if any(not 0.0 <= q <= 1.0 for q in self.qualities):
+        if any(not (_is_real(q) and 0.0 <= q <= 1.0) for q in self.qualities):
             raise ConfigError("every quality floor must lie in [0, 1]")
-        if any(not 0.0 < c <= 1.0 for c in self.cache_fractions):
+        if any(not (_is_real(c) and 0.0 < c <= 1.0) for c in self.cache_fractions):
             raise ConfigError("every cache fraction must lie in (0, 1]")
-        if any(not 0.0 <= a < 1.0 for a in self.follow_probs):
+        if any(not (_is_real(a) and 0.0 <= a < 1.0) for a in self.follow_probs):
             raise ConfigError("every follow probability must lie in [0, 1)")
         if not _is_whole(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a whole number >= 0")

@@ -30,9 +30,17 @@ _REC_TOL = 1e-6
 _STATIONARY_TOL = 1e-8
 
 
+def _is_real(v) -> bool:
+    """True for a real number; a bool (JSON's ``true``) is not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _is_whole(v) -> bool:
-    """True for an integer, or a float without a fractional part (JSON's ``4.0``)."""
-    return isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    """True for an integer, or a float without a fractional part (JSON's
+    ``4.0``); a bool is neither."""
+    return _is_real(v) and (
+        isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+    )
 
 
 def _freeze(a) -> np.ndarray:

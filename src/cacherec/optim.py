@@ -4,7 +4,12 @@ Two policies are provided. The myopic policy minimizes the expected cost
 of the next request only; it decomposes into one small LP per row,
 solved exactly by a parametric greedy that walks the breakpoints of the
 row's dual in the quality multiplier until it reaches the kink where the
-selected quality crosses the floor. The stationary policy (`cars_solve`)
+selected quality crosses the floor. All rows walk together, each greedy
+step one partition and one lexsort over every walking row's candidate
+pool: its related columns and the first ``N + 1 +`` (largest number of
+related columns in a row) columns in (cost, index) order. Those always
+hold N unrelated columns, none the row itself, ahead of any column left
+out, so the pool is exact. The stationary policy (`cars_solve`)
 minimizes the long-run cost by alternating convex minimizations of an
 augmented Lagrangian in which the stationarity condition of the request
 chain enters as a penalized equality residual. Its distribution step is
@@ -28,7 +33,6 @@ The true cost of each iterate comes from `markov.stationary`.
 """
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,7 @@ from .model import (
     RequestModel,
     SimilarityMatrix,
     StationaryVector,
+    _is_real,
     _is_whole,
 )
 from .qp import MAXITER, _project_capped, solve_qp
@@ -69,6 +74,9 @@ _ROW_NEWTON_STEPS = 16
 # stop moves a bracket end to a selection whose quality lies strictly
 # between the two ends', so the walk ends; the cap bounds it under roundoff.
 _ROW_WALK_STEPS = 100
+# Pool entries per block of rows in the batched row LPs; bounds the working
+# arrays of a dense similarity.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class InfeasibleQualityError(ValueError):
@@ -150,33 +158,33 @@ def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
 # Myopic policy
 # ---------------------------------------------------------------------------
 
-def _row_greedy(x, u, n, self_idx, t, prefer_high_quality):
-    """Cheapest N-subset at reduced cost x - t*u, one of the two tie rules.
+def _first_n(key, tie, cols, up, xp, n):
+    """Each row's N pool entries first in (key, tie, column) order.
 
-    Returns the row vector (mass 1/N on the selection), its quality and
-    its cost. Ties in the reduced cost break toward higher similarity when
-    `prefer_high_quality`, then toward the lowest index either way.
+    `key`, `tie`, `cols`, `up` and `xp` are (rows, width) pool arrays: the
+    sort key (inf on entries that may not be chosen), the tie key (None for
+    none), the column index, the similarity and the cost. Only entries at
+    or below a row's N-th smallest key can be chosen, so one partition
+    finds them and one lexsort over them, with ties kept, orders every
+    row at once. Returns the (rows, N) chosen columns in that order, with
+    each selection's quality and cost.
     """
-    r = x - t * u
-    r[self_idx] = np.inf
-    idx = np.arange(x.size)
-    if prefer_high_quality:
-        order = np.lexsort((idx, -u, r))
-    else:
-        order = np.lexsort((idx, r))
-    return _selection(x, u, n, order[:n])
+    kth = np.partition(key, n - 1, axis=1)[:, n - 1]
+    at = np.flatnonzero(key <= kth[:, None])
+    row = at // key.shape[1]
+    keys = (cols.ravel()[at], key.ravel()[at], row)
+    if tie is not None:
+        keys = keys[:1] + (tie.ravel()[at],) + keys[1:]
+    order = np.lexsort(keys)
+    counts = np.bincount(row, minlength=key.shape[0])
+    at = at[order[(np.cumsum(counts) - counts)[:, None] + np.arange(n)]]
+    return cols.ravel()[at], up.ravel()[at].sum(axis=1) / n, xp.ravel()[at].sum(axis=1) / n
 
 
-def _selection(x, u, n, sel):
-    """Row with mass 1/N on the indices `sel`, its quality and its cost."""
-    y = np.zeros(x.size)
-    y[sel] = 1.0 / n
-    return y, float(u[sel].sum()) / n, float(x[sel].sum()) / n
-
-
-def _solve_row_lp(x, u, n, self_idx, q):
-    """Exact row LP: min sum y*x s.t. sum y = 1, 0 <= y <= 1/N, y[self]=0,
-    sum y*u >= q.
+def _solve_row_lps(x, u, n, q, rows):
+    """Exact row LPs ``min y.x`` s.t. ``sum y = 1``, ``0 <= y <= 1/N``,
+    ``y[i] = 0`` and ``y.u_i >= q_i``, for the rows ``i`` in `rows`, whose
+    similarities are the rows of `u` and floors the entries of `q`.
 
     Parametric greedy: for a multiplier t >= 0 on the quality constraint
     the optimum selects the N smallest reduced costs x - t*u. The dual
@@ -185,64 +193,133 @@ def _solve_row_lp(x, u, n, self_idx, q):
     the line ``c_S - t*g_S`` (plus t*q). A breakpoint walk brackets the
     kink where the selected quality crosses the floor: the low end's
     selection falls short of it, the high end's (at first the
-    quality-maximal selection) meets it. Each step evaluates the greedy
-    where the two ends' lines meet. A selection no cheaper than the lines
-    there, up to a relative 1e-12, means the meeting point is the kink;
-    a cheaper one becomes the end its quality belongs to. Both ends are
-    optimal at the kink, so the blend of the two that lands the quality
-    exactly on the floor is optimal.
-    """
-    y_cost, g_cost, _ = _row_greedy(x, u, n, self_idx, 0.0, False)
-    if g_cost >= q - 1e-12:
-        return y_cost
-    y_lo, g_lo, c_lo = _row_greedy(x, u, n, self_idx, 0.0, True)
-    if g_lo >= q:
-        theta = (q - g_cost) / (g_lo - g_cost)
-        return (1.0 - theta) * y_cost + theta * y_lo
+    quality-maximal selection: highest similarity, then cheapest, then
+    lowest index) meets it. Each step evaluates the greedy where the two
+    ends' lines meet. A selection no cheaper than the lines there, up to
+    a relative 1e-12, means the meeting point is the kink; a cheaper one
+    becomes the end its quality belongs to. Both ends are optimal at the
+    kink, so the blend of the two that lands the quality exactly on the
+    floor is optimal. The greedy breaks reduced-cost ties toward higher
+    similarity, then the lowest index; the first selection, at t = 0,
+    toward the lowest index alone, and a row it already lifts to its
+    floor keeps it.
 
-    # the limit t -> inf of the greedy: highest similarity, then cheapest
-    key = u.copy()
-    key[self_idx] = -np.inf
-    top = np.lexsort((np.arange(x.size), x, -key))[:n]
-    y_hi, g_hi, c_hi = _selection(x, u, n, top)
-    if g_hi < q - 1e-9 or g_hi <= g_lo:
-        raise InfeasibleQualityError(
-            f"row {self_idx}: quality floor {q} exceeds best attainable {g_hi:.6f}"
+    All rows walk together, one step at a time, each greedy a partition
+    and a lexsort over every walking row (`_first_n`); the first, with
+    costs alone, is the shared (cost, index) order less the row itself.
+    Each row's greedy runs over a candidate pool fixed up front: its
+    columns of positive similarity, and the first
+    ``M = min(K, N + 1 + max row nonzeros)`` columns in (cost, index)
+    order. A column outside the pool has ``u = 0``, so its reduced cost
+    is its cost at every t; at least N other columns of the first M have
+    ``u = 0`` too, are not the row itself, and come before it in (cost,
+    index) order, so before it under both tie rules. Every selection,
+    the high end's included, thus lies in the pool. Rows run in blocks of
+    about `_BLOCK_ENTRIES` pool entries, which bounds the working arrays
+    when the similarity is dense.
+    """
+    k = x.size
+    nrows = rows.size
+    inv_n = 1.0 / n
+    y = np.zeros((nrows, k))
+    positive = u > 0.0
+    first = np.lexsort((np.arange(k), x))[
+        :min(k, n + 1 + int(positive.sum(axis=1).max(initial=0)))
+    ]
+    positive[:, first] = False
+    extra = positive.sum(axis=1)
+    step = max(1, _BLOCK_ENTRIES // (first.size + int(extra.max(initial=0))))
+    for b0 in range(0, nrows, step):
+        b1 = min(b0 + step, nrows)
+        yb, qb, me = y[b0:b1], q[b0:b1], rows[b0:b1, None]
+        # the pool: the shared first columns, then the row's own related
+        # ones, padded with the row itself, which is never chosen
+        er, ec = np.divmod(np.flatnonzero(positive[b0:b1]), k)
+        cnt = extra[b0:b1]
+        cols = np.repeat(me, first.size + int(cnt.max(initial=0)), axis=1)
+        cols[:, :first.size] = first
+        cols[er, first.size + np.arange(er.size) - (np.cumsum(cnt) - cnt)[er]] = ec
+        up = np.take_along_axis(u[b0:b1], cols, axis=1)
+        xp = x[cols]
+        dead = cols == me
+
+        # at t = 0 the lowest-index rule takes the first N columns of the
+        # shared order, skipping the row itself
+        head = first[:n + 1]
+        s_cost = head[np.arange(n) + np.cumsum(head == me, axis=1)[:, :n]]
+        g_cost = np.take_along_axis(u[b0:b1], s_cost, axis=1).sum(axis=1) / n
+        done = g_cost >= qb - 1e-12
+        yb[np.flatnonzero(done)[:, None], s_cost[done]] = inv_n
+        a = np.flatnonzero(~done)
+        s_lo, g_lo, c_lo = _first_n(
+            np.where(dead[a], np.inf, xp[a]), -up[a], cols[a], up[a], xp[a], n
         )
-    for _ in range(_ROW_WALK_STEPS):
-        t = (c_hi - c_lo) / (g_hi - g_lo)
-        y, g, c = _row_greedy(x, u, n, self_idx, t, True)
-        if c - t * g >= c_lo - t * g_lo - 1e-12 * (c_hi + t * g_hi):
-            break
-        if g >= q:
-            y_hi, g_hi, c_hi = y, g, c
-        else:
-            y_lo, g_lo, c_lo = y, g, c
-    else:
-        _log.warning(
-            "row %d: breakpoint walk stopped at its %d-step cap", self_idx, _ROW_WALK_STEPS
+        met = g_lo >= qb[a]
+        b = a[met]
+        theta = ((qb[b] - g_cost[b]) / (g_lo[met] - g_cost[b]))[:, None]
+        yb[b[:, None], s_cost[b]] = (1.0 - theta) * inv_n
+        yb[b[:, None], s_lo[met]] += theta * inv_n
+        a, s_lo, g_lo, c_lo = a[~met], s_lo[~met], g_lo[~met], c_lo[~met]
+        qa = qb[a]
+        s_hi, g_hi, c_hi = _first_n(
+            np.where(dead[a], np.inf, -up[a]), xp[a], cols[a], up[a], xp[a], n
         )
-    theta = min(1.0, (q - g_lo) / (g_hi - g_lo))
-    return (1.0 - theta) * y_lo + theta * y_hi
+        bad = np.flatnonzero((g_hi < qa - 1e-9) | (g_hi <= g_lo))
+        if bad.size:
+            j = int(bad[0])
+            raise InfeasibleQualityError(
+                f"row {int(me[a[j], 0])}: quality floor {float(qa[j])} "
+                f"exceeds best attainable {g_hi[j]:.6f}"
+            )
+        walking = np.arange(a.size)
+        for _ in range(_ROW_WALK_STEPS):
+            if walking.size == 0:
+                break
+            w = a[walking]
+            uw, xw = up[w], xp[w]
+            t = (c_hi[walking] - c_lo[walking]) / (g_hi[walking] - g_lo[walking])
+            r = np.where(dead[w], np.inf, xw - t[:, None] * uw)
+            s, g, c = _first_n(r, -uw, cols[w], uw, xw, n)
+            stop = c - t * g >= (
+                c_lo[walking] - t * g_lo[walking]
+                - 1e-12 * (c_hi[walking] + t * g_hi[walking])
+            )
+            hi = ~stop & (g >= qa[walking])
+            lo = ~stop & ~hi
+            s_hi[walking[hi]], g_hi[walking[hi]], c_hi[walking[hi]] = s[hi], g[hi], c[hi]
+            s_lo[walking[lo]], g_lo[walking[lo]], c_lo[walking[lo]] = s[lo], g[lo], c[lo]
+            walking = walking[~stop]
+        for j in walking:
+            _log.warning(
+                "row %d: breakpoint walk stopped at its %d-step cap",
+                int(me[a[j], 0]), _ROW_WALK_STEPS,
+            )
+        theta = np.minimum(1.0, (qa - g_lo) / (g_hi - g_lo))[:, None]
+        yb[a[:, None], s_lo] = (1.0 - theta) * inv_n
+        yb[a[:, None], s_hi] += theta * inv_n
+    return y
 
 
 def myopic_solve(inputs: OptimInputs) -> RecMatrix:
     """Minimize the expected cost of the next request only.
 
     The one-step objective separates over rows, so each row solves its
-    own small LP over the row polytope with its quality floor. Each row
-    LP is solved exactly by a few greedy selections (a breakpoint walk on
-    its dual), deterministically, and lowest-index on cost ties.
+    own small LP over the row polytope with its quality floor. All row
+    LPs are solved exactly and together by `_solve_row_lps`, a breakpoint
+    walk on each row's dual over a candidate pool: the row's related
+    columns and the first ``N + 1 +`` (most related columns of any row)
+    columns in (cost, index) order. A column left out is unrelated, and
+    at least N unrelated columns of the pool, none the row itself, come
+    before it at every multiplier, so no selection of the walk needs it.
+    Deterministic, and lowest-index on cost ties.
     """
     u = np.asarray(inputs.similarity, dtype=float)
     x = np.asarray(inputs.cost, dtype=float)
-    q = inputs.quality
-    n = inputs.model.list_size
     k = u.shape[0]
-    y = np.zeros((k, k))
-    for i in range(k):
-        y[i] = _solve_row_lp(x, u[i], n, i, float(q[i]))
-    return RecMatrix(y, n)
+    return RecMatrix(
+        _solve_row_lps(x, u, inputs.model.list_size, inputs.quality, np.arange(k)),
+        inputs.model.list_size,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +599,7 @@ class CarsConfig:
                 raise ValueError(f"{name} must be a whole number >= 1")
             setattr(self, name, int(v))
         step = self.multiplier_step
-        if not isinstance(step, numbers.Real) or not 0.0 < step < np.inf:
+        if not (_is_real(step) and 0.0 < step < np.inf):
             raise ValueError("multiplier_step must be a finite number > 0")
 
 

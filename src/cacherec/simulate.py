@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopularityVector, RecMatrix, RequestModel, SimilarityMatrix, _is_whole
+from .model import (PopularityVector, RecMatrix, RequestModel, SimilarityMatrix,
+                    _is_real, _is_whole)
 
 __all__ = [
     "CachePlacement",
@@ -64,7 +65,7 @@ class SessionConfig:
         object.__setattr__(self, "total_requests", int(self.total_requests))
         if self.session_kind not in ("fixed", "geometric"):
             raise ValueError("session_kind must be 'fixed' or 'geometric'")
-        if not 1 <= self.session_param < np.inf:
+        if not (_is_real(self.session_param) and 1 <= self.session_param < np.inf):
             raise ValueError("session_param must be finite and >= 1")
         if self.session_kind == "fixed" and not _is_whole(self.session_param):
             raise ValueError("a fixed session_param is a length: it must be a whole number")

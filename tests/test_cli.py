@@ -287,12 +287,11 @@ class TestThreadResolution:
 
 
 def trace_scenario(tmp_path, **overrides):
-    return write_scenario(
-        tmp_path,
-        dataset={"kind": "synthetic", "size": 6, "mean_related": 5.0, "seed": 2},
-        cache_fractions=[1 / 6],
+    return write_scenario(tmp_path, **{
+        "dataset": {"kind": "synthetic", "size": 6, "mean_related": 5.0, "seed": 2},
+        "cache_fractions": [1 / 6],
         **overrides,
-    )
+    })
 
 
 class TestTraceCommand:
@@ -356,6 +355,41 @@ BAD_VALUES = {
                             "invalid config: multiplier_step must be a finite number > 0"),
     "multiplier-step-negative": ({"cars": {"multiplier_step": -1.0}},
                                  "invalid config: multiplier_step must be a finite number > 0"),
+    # JSON's true is not the number 1
+    "list-size-true": ({"list_sizes": [True]}, "every list size must be a whole number >= 1"),
+    "seed-true": ({"seed": True}, "seed must be a whole number >= 0"),
+    "zipf-true": ({"zipf_exponents": [True]}, "Zipf exponents must be finite and >= 0"),
+    "quality-true": ({"qualities": [True]}, "every quality floor must lie in [0, 1]"),
+    "cache-fraction-true": ({"cache_fractions": [True]},
+                            "every cache fraction must lie in (0, 1]"),
+    "follow-prob-false": ({"follow_probs": [False]},
+                          "every follow probability must lie in [0, 1)"),
+    "synthetic-size-true": (
+        {"dataset": {"kind": "synthetic", "size": True, "mean_related": 5.0, "seed": 2}},
+        "synthetic size must be a whole number >= 0"),
+    "synthetic-min-related-true": (
+        {"dataset": {"kind": "synthetic", "size": 6, "min_related": True, "seed": 2}},
+        "synthetic min_related must be a whole number >= 0"),
+    "synthetic-seed-true": (
+        {"dataset": {"kind": "synthetic", "size": 6, "mean_related": 5.0, "seed": True}},
+        "synthetic seed must be a whole number >= 0"),
+    "synthetic-mean-related-true": (
+        {"dataset": {"kind": "synthetic", "size": 6, "mean_related": True, "seed": 2}},
+        "synthetic mean_related must be a finite number"),
+    "movielens-theta-false": (
+        {"dataset": {"kind": "movielens", "path": "ratings.csv", "theta": False}},
+        "movielens theta must be a finite number"),
+    "max-iter-true": ({"cars": {"max_iter": True}},
+                      "invalid config: max_iter must be a whole number >= 1"),
+    "subproblem-max-iter-true": (
+        {"cars": {"subproblem_max_iter": True}},
+        "invalid config: subproblem_max_iter must be a whole number >= 1"),
+    "multiplier-step-true": ({"cars": {"multiplier_step": True}},
+                             "invalid config: multiplier_step must be a finite number > 0"),
+    "total-requests-true": ({"session": {"total_requests": True}},
+                            "invalid config: total_requests must be a whole number >= 1"),
+    "session-param-true": ({"session": {"total_requests": 400, "session_param": True}},
+                           "invalid config: session_param must be finite and >= 1"),
 }
 
 

@@ -31,7 +31,7 @@ from cacherec import (
     zipf_popularity,
 )
 from cacherec import markov, optim
-from cacherec.optim import _quality_row_prox, _solve_row_lp
+from cacherec.optim import _quality_row_prox
 from cacherec.qp import _project_capped
 
 from oracles import (
@@ -238,18 +238,22 @@ class TestMyopicTieRule:
         assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
 
+def similarities(rng, kind, shape):
+    """Similarities of one of `ROW_KINDS`."""
+    if kind == "continuous":
+        return rng.uniform(0.0, 1.0, shape)
+    if kind == "binary":
+        return (rng.uniform(size=shape) < 0.4).astype(float)
+    if kind == "three-level":
+        return rng.choice([0.0, 0.5, 1.0], size=shape)
+    return np.round(rng.uniform(0.0, 1.0, shape), 2)
+
+
 def random_row(rng, kind):
     """One row LP: similarities of the given kind, self index, list size."""
     k = int(rng.integers(5, 61))
     n = int(rng.integers(1, min(6, k - 1) + 1))
-    if kind == "continuous":
-        u = rng.uniform(0.0, 1.0, k)
-    elif kind == "binary":
-        u = (rng.uniform(size=k) < 0.4).astype(float)
-    elif kind == "three-level":
-        u = rng.choice([0.0, 0.5, 1.0], size=k)
-    else:
-        u = np.round(rng.uniform(0.0, 1.0, k), 2)
+    u = similarities(rng, kind, k)
     x = [rng.uniform(0.0, 1.0, k), (rng.uniform(size=k) < 0.3).astype(float),
          np.round(rng.uniform(0.0, 1.0, k), 1)][int(rng.integers(3))]
     i = int(rng.integers(k))
@@ -273,6 +277,168 @@ def row_linprog(x, u, n, i, q):
 ROW_KINDS = ["continuous", "binary", "three-level", "two-decimal"]
 
 
+def solve_row(x, u, n, i, q):
+    """One row LP through the batched kernel."""
+    return optim._solve_row_lps(x, u[None, :], n, np.array([q]), np.array([i]))[0]
+
+
+def _row_greedy(x, u, n, self_idx, t, prefer_high_quality):
+    r = x - t * u
+    r[self_idx] = np.inf
+    idx = np.arange(x.size)
+    if prefer_high_quality:
+        order = np.lexsort((idx, -u, r))
+    else:
+        order = np.lexsort((idx, r))
+    return _selection(x, u, n, order[:n])
+
+
+def _selection(x, u, n, sel):
+    y = np.zeros(x.size)
+    y[sel] = 1.0 / n
+    return y, float(u[sel].sum()) / n, float(x[sel].sum()) / n
+
+
+def _solve_row_lp(x, u, n, self_idx, q):
+    """The per-row myopic solver that `_solve_row_lps` replaced: the same
+    breakpoint walk, one row at a time over all K columns, each greedy a
+    lexsort of the whole row."""
+    y_cost, g_cost, _ = _row_greedy(x, u, n, self_idx, 0.0, False)
+    if g_cost >= q - 1e-12:
+        return y_cost
+    y_lo, g_lo, c_lo = _row_greedy(x, u, n, self_idx, 0.0, True)
+    if g_lo >= q:
+        theta = (q - g_cost) / (g_lo - g_cost)
+        return (1.0 - theta) * y_cost + theta * y_lo
+    key = u.copy()
+    key[self_idx] = -np.inf
+    top = np.lexsort((np.arange(x.size), x, -key))[:n]
+    y_hi, g_hi, c_hi = _selection(x, u, n, top)
+    if g_hi < q - 1e-9 or g_hi <= g_lo:
+        raise InfeasibleQualityError(
+            f"row {self_idx}: quality floor {q} exceeds best attainable {g_hi:.6f}"
+        )
+    for _ in range(optim._ROW_WALK_STEPS):
+        t = (c_hi - c_lo) / (g_hi - g_lo)
+        y, g, c = _row_greedy(x, u, n, self_idx, t, True)
+        if c - t * g >= c_lo - t * g_lo - 1e-12 * (c_hi + t * g_hi):
+            break
+        if g >= q:
+            y_hi, g_hi, c_hi = y, g, c
+        else:
+            y_lo, g_lo, c_lo = y, g, c
+    theta = min(1.0, (q - g_lo) / (g_hi - g_lo))
+    return (1.0 - theta) * y_lo + theta * y_hi
+
+
+def reference_myopic(inputs):
+    """Myopic matrix from `_solve_row_lp`, row by row, or the error text."""
+    u = np.asarray(inputs.similarity, dtype=float)
+    x = np.asarray(inputs.cost, dtype=float)
+    y = np.zeros(u.shape)
+    try:
+        for i in range(u.shape[0]):
+            y[i] = _solve_row_lp(x, u[i], inputs.model.list_size, i, float(inputs.quality[i]))
+    except InfeasibleQualityError as exc:
+        return str(exc)
+    return y
+
+
+def batched_myopic(inputs):
+    try:
+        return np.asarray(myopic_solve(inputs))
+    except InfeasibleQualityError as exc:
+        return str(exc)
+
+
+def battery_instance(rng, kind, cost_kind, floor_kind):
+    """Random myopic instance: similarities of one of `ROW_KINDS`, dense or
+    thinned, costs of one of `random_row`'s kinds, and one floor rule."""
+    k = int(rng.integers(5, 121))
+    n = int(rng.integers(1, min(6, k - 1) + 1))
+    u = similarities(rng, kind, (k, k))
+    if rng.uniform() < 0.7:  # else as drawn: continuous kinds stay dense
+        u[rng.uniform(size=(k, k)) > rng.uniform(0.02, 1.0)] = 0.0
+    np.fill_diagonal(u, 0.0)
+    x = [rng.uniform(0.0, 1.0, k), (rng.uniform(size=k) < 0.3).astype(float),
+         np.round(rng.uniform(0.0, 1.0, k), 1)][cost_kind]
+    x[rng.integers(k)] = 0.0  # that row's own index is among the cheapest
+    model = RequestModel(np.full(k, 1.0 / k), 0.8, n)
+    best = OptimInputs(u, model, x).max_quality()
+    q = [best, np.maximum(best - 1e-7, 0.0), rng.uniform(0.0, 1.0, k) * best,
+         np.zeros(k)][floor_kind]
+    return OptimInputs(u, model, x, q)
+
+
+class TestMyopicMatchesRowReference:
+    """`myopic_solve` is byte for byte the per-row solver it replaced."""
+
+    def test_byte_identical_on_random_instances(self):
+        rng = np.random.default_rng(60)
+        cases = [(kind, c, f) for kind in ROW_KINDS for c in range(3) for f in range(4)]
+        # `narrow` counts instances whose pools are narrower than their rows
+        solved = few_zeros = narrow = 0
+        for trial in range(336):
+            inp = battery_instance(rng, *cases[trial % len(cases)])
+            ref = reference_myopic(inp)
+            got = batched_myopic(inp)
+            if isinstance(ref, str):
+                assert got == ref, trial
+                continue
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref), trial
+            solved += 1
+            u = np.asarray(inp.similarity)
+            k, n = u.shape[0], inp.model.list_size
+            few_zeros += int(np.any((u == 0.0).sum(axis=1) - 1 < n))
+            narrow += int(n + 1 + (u > 0.0).sum(axis=1).max() < k)
+        assert solved >= 300 and few_zeros >= 50 and narrow >= 100
+
+    def test_byte_identical_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(optim, "_BLOCK_ENTRIES", 50)
+        rng = np.random.default_rng(61)
+        for trial in range(40):
+            inp = battery_instance(rng, ROW_KINDS[trial % 4], trial % 3, 2)
+            assert np.array_equal(batched_myopic(inp), reference_myopic(inp)), trial
+
+    def test_byte_identical_on_continuous_costs_at_scale(self):
+        # the vectors policy iteration would pass: continuous, on a sparse graph
+        base = anchored_instance(757, 4, 0.8, 38, seed=3)
+        x = np.random.default_rng(62).uniform(0.0, 1.0, 757)
+        inp = OptimInputs(base.similarity, base.model, x, base.quality)
+        assert np.array_equal(batched_myopic(inp), reference_myopic(inp))
+
+
+def two_short_rows():
+    """Rows 3 and 6 reach their best quality, 0.5, at t = 0 already, yet
+    fall just short of a floor 5e-13 above it (within construction's
+    1e-12 slack): both fail the walk's check that the high end beats the
+    low end."""
+    k = 8
+    u = np.zeros((k, k))
+    u[:, 6:] = 0.5
+    u[6, 5] = 0.5
+    np.fill_diagonal(u, 0.0)
+    q = np.zeros(k)
+    q[[3, 6]] = 0.5 + 5e-13
+    return u, RequestModel(np.full(k, 1.0 / k), 0.8, 2), np.zeros(k), q
+
+
+class TestMyopicInfeasibleRow:
+    MESSAGE = "row {}: quality floor 0.5000000000005 exceeds best attainable 0.500000"
+
+    @pytest.mark.parametrize("block_entries", [optim._BLOCK_ENTRIES, 20])
+    def test_lowest_failing_row_is_named(self, monkeypatch, block_entries):
+        monkeypatch.setattr(optim, "_BLOCK_ENTRIES", block_entries)
+        u, model, x, q = two_short_rows()
+        with pytest.raises(InfeasibleQualityError) as err:
+            myopic_solve(OptimInputs(u, model, x, q))
+        assert str(err.value) == self.MESSAGE.format(3)
+        q[3] = 0.0
+        with pytest.raises(InfeasibleQualityError) as err:
+            myopic_solve(OptimInputs(u, model, x, q))
+        assert str(err.value) == self.MESSAGE.format(6)
+
+
 class TestRowLp:
     @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_matches_linprog(self, kind):
@@ -281,7 +447,7 @@ class TestRowLp:
             x, u, n, i = random_row(rng, kind)
             best = row_best_quality(u, n, i)
             q = [best, best - 1e-7, rng.uniform(0.0, best)][trial % 3]
-            y = _solve_row_lp(x, u, n, i, q)
+            y = solve_row(x, u, n, i, q)
             assert abs(y.sum() - 1.0) <= 1e-12, trial
             assert y.min() >= 0.0 and y.max() <= 1.0 / n + 1e-15 and y[i] == 0.0, trial
             assert float(u @ y) >= q - 1e-9, trial
@@ -294,27 +460,32 @@ class TestRowLp:
             x, u, n, i = random_row(rng, kind)
             q = row_best_quality(u, n, i) + 1e-6
             with pytest.raises(InfeasibleQualityError):
-                _solve_row_lp(x, u, n, i, q)
+                solve_row(x, u, n, i, q)
 
     def test_equal_similarities_raise(self):
         u = np.full(6, 0.5)
         u[2] = 0.0
         with pytest.raises(InfeasibleQualityError):
-            _solve_row_lp(np.linspace(0.0, 1.0, 6), u, 2, 2, 0.7)
+            solve_row(np.linspace(0.0, 1.0, 6), u, 2, 2, 0.7)
 
-    def test_few_greedy_calls_per_binding_row(self, monkeypatch):
-        calls = np.zeros(200, dtype=int)
-        greedy = optim._row_greedy
+    def test_few_walk_steps_per_binding_row(self, monkeypatch):
+        # The per-row solver made at most 6 greedy calls per binding row
+        # here: two at t = 0, then at most 4 walk steps. One block solves
+        # all 200 rows; its calls are the first greedy of every row, the
+        # second of the binding rows, the high end of the rows still short
+        # of their floor, then one per walk step for the rows still
+        # walking, so the call count bounds every row's steps.
+        rows = []
+        first_n = optim._first_n
 
-        def counted(x, u, n, self_idx, t, prefer_high_quality):
-            calls[self_idx] += 1
-            return greedy(x, u, n, self_idx, t, prefer_high_quality)
+        def counted(key, *rest):
+            rows.append(key.shape[0])
+            return first_n(key, *rest)
 
-        monkeypatch.setattr(optim, "_row_greedy", counted)
+        monkeypatch.setattr(optim, "_first_n", counted)
         myopic_solve(anchored_instance(200, 4, 0.8, 10, seed=7))
-        binding = calls[calls > 1]
-        assert binding.size >= 100
-        assert binding.max() <= 6
+        assert rows[0] == 200 and rows[1] >= 100
+        assert len(rows) - 3 <= 4
 
 
 class TestResidual:
@@ -828,7 +999,7 @@ class TestSolverWarnings:
         u = rng.uniform(0.0, 1.0, 30)
         u[0] = 0.0
         with caplog.at_level(logging.WARNING, logger="cacherec"):
-            y = _solve_row_lp(rng.uniform(0.0, 1.0, 30), u, 3, 0, 0.9)
+            y = solve_row(rng.uniform(0.0, 1.0, 30), u, 3, 0, 0.9)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "breakpoint walk stopped" in caplog.records[0].getMessage()
         assert float(u @ y) >= 0.9 - 1e-12
