@@ -216,7 +216,10 @@ def _solve_row_lps(x, u, n, q, rows):
     index) order, so before it under both tie rules. Every selection,
     the high end's included, thus lies in the pool. Rows run in blocks of
     about `_BLOCK_ENTRIES` pool entries, which bounds the working arrays
-    when the similarity is dense.
+    when the similarity is dense. Within a block, every row's
+    infeasibility check runs before any row walks: the error names the
+    block's lowest failing row, and a row of that block that would have
+    hit the walk cap logs no warning first.
     """
     k = x.size
     nrows = rows.size
