@@ -28,7 +28,15 @@ multiplier times the nonnegative similarities cannot lower that N-th
 entry, so the projection's shift stays at or above the cut and no other
 entry gets mass. A row thus costs a few O(K) passes (one partition
 finds the cut) plus projections over about as many entries as it has
-related items, instead of sorts over all 2K breakpoints.
+related items, instead of sorts over all 2K breakpoints. When the
+candidates' similarities take two values ``alpha < beta``, as on every
+row of a 0/1 matrix, a binding floor fixes the mass of the beta entries
+at ``(q - alpha) / (beta - alpha)``, so the row is two independent capped
+projections, one per level, with no search on the floor multiplier: the
+gap of the two projections' shifts gives it, and is positive exactly
+when the floor binds. Rows with three or more levels among their
+candidates, as under fractional similarity, search the multiplier by
+bracketed Newton steps.
 The true cost of each iterate comes from `markov.stationary`.
 """
 
@@ -46,6 +54,7 @@ from .model import (
     StationaryVector,
     _is_real,
     _is_whole,
+    _nonzeros,
 )
 from .qp import MAXITER, _project_capped, solve_qp
 
@@ -387,15 +396,45 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
 
     This is the row solver of the recommendation step. When the plain
     sum/box projection misses the floor, the KKT conditions give
-    ``y = proj(w + sigma u_row)`` for the floor multiplier ``sigma > 0``
-    at which the floor holds with equality. The map
+    ``y = clip(w + sigma u_row - tau, 0, upper)`` for the floor multiplier
+    ``sigma > 0`` at which the floor holds with equality.
+
+    Two-valued rows are solved in closed form. Let the candidates'
+    similarities take two values ``alpha < beta``, as on every row of a
+    0/1 matrix. A binding floor holds with equality at the optimum, which
+    fixes the mass of the beta-block at
+    ``T = (q_floor - alpha) / (beta - alpha)`` and of the alpha-block at
+    ``1 - T``. On that subset of the feasible set, which holds the
+    optimum, the problem separates: each block's part is the (unique)
+    capped projection of its own entries of ``w`` onto its total, and the
+    KKT point's shifts are ``tau - sigma beta`` on the beta-block and
+    ``tau - sigma alpha`` on the alpha-block. So
+    ``sigma = (tau_alpha - tau_beta) / (beta - alpha)`` for any valid
+    pair of block shifts. That gap decides whether the floor binds: at the
+    plain projection's shift ``tau_0``, a binding floor leaves the
+    beta-block short of ``T`` and the alpha-block over ``1 - T``, so every
+    valid beta shift lies below ``tau_0`` and every alpha shift above it,
+    and a slack floor puts both the other way. The blocks are projected
+    first, with the shifts `_project_capped` returns; a positive
+    ``sigma`` makes their union a KKT point, hence the projection, and
+    only a nonpositive one runs the plain projection. Should that miss the
+    floor too, the two disagree by roundoff alone, as on targets spread
+    over thousands, whose entries carry errors near 1e-12: the floor lies
+    on the boundary and the blocks' row is returned. A floor at or below
+    ``alpha`` is met by every row.
+
+    Other rows run a Newton search on ``sigma``: the map
     ``sigma -> u_row . proj(w + sigma u_row)`` is nondecreasing and
     piecewise linear, so bracketed Newton steps (bisection whenever a
     step leaves the bracket) land on its root exactly once they reach the
-    root's linear piece. Should the budget run out first, the bracket
-    endpoints are blended to land on the floor. A positive `sigma0`, such
-    as the row's multiplier in the previous sweep, is the first Newton
-    point. Returns the row and its floor multiplier.
+    root's linear piece. It serves rows whose candidates carry three or
+    more similarity values, as under fractional similarity, and
+    two-valued rows where ``T > 1`` or a block's total exceeds the sum of
+    its caps, which happens only when the floor is slack or out of reach.
+    Should its `_ROW_NEWTON_STEPS` run out first, the bracket endpoints
+    are blended to land on the floor and a warning is logged. A positive
+    `sigma0`, such as the row's multiplier in the previous sweep, is the
+    first Newton point. Returns the row and its floor multiplier.
 
     Every projection runs on the candidates alone, the entries that can
     carry mass at any ``sigma``: with ``c`` the smallest positive cap,
@@ -426,10 +465,32 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         y[keep] = yc
         return y
 
-    y = _project_capped(wc, cap)
+    alpha, beta = float(uc.min()), float(uc.max())
+    t = (q_floor - alpha) / (beta - alpha) if beta > alpha else 0.0
+    blocks = None
+    if 0.0 < t <= 1.0:
+        top = uc == beta
+        bot = ~top
+        c_top, c_bot = cap[top], cap[bot]
+        if (uc[bot] == alpha).all() and t <= c_top.sum() and 1.0 - t <= c_bot.sum():
+            y_top, tau_top = _project_capped(wc[top], c_top, t)
+            y_bot, tau_bot = _project_capped(wc[bot], c_bot, 1.0 - t)
+            sg = (tau_bot - tau_top) / (beta - alpha)
+            blocks = np.empty(keep.size)
+            blocks[top] = y_top
+            blocks[bot] = y_bot
+            if sg > 0.0:
+                return full(blocks), sg
+
+    y = _project_capped(wc, cap)[0]
     got = float(uc @ y)
     if got >= q_floor - 1e-12:
         return full(y), 0.0
+    if blocks is not None:
+        # the shifts call the floor slack, the plain projection misses it:
+        # both only by roundoff, so the floor lies on the boundary, where
+        # the two rows agree, and the blocks' row meets it
+        return full(blocks), 0.0
 
     def slope(yr):
         # d(u . y)/d sigma on the current piece: u's spread over the free set
@@ -450,7 +511,7 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         sl = slope(y)
         sg = (q_floor - got) / sl if sl > 1e-12 else 1e-3 * spread
     for _ in range(_ROW_NEWTON_STEPS):
-        y2 = _project_capped(wc + sg * uc, cap)
+        y2 = _project_capped(wc + sg * uc, cap)[0]
         got2 = float(uc @ y2)
         if abs(got2 - q_floor) <= land:
             return full(y2), sg
@@ -482,6 +543,11 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
                 break
     else:
         y_hi = full(y_hi)
+    _log.warning(
+        "recommendation step: floor multiplier search stopped at its %d-step cap "
+        "within [%.3e, %.3e]; the row is not an exact projection",
+        _ROW_NEWTON_STEPS, sg_lo, sg_hi,
+    )
     gl = float(u_row @ y_lo)
     gh = float(u_row @ y_hi)
     if gh - gl <= 0.0 or gh < q_floor:
@@ -490,25 +556,30 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
     return (1.0 - gamma) * y_lo + gamma * y_hi, sg_lo + gamma * (sg_hi - sg_lo)
 
 
-def _y_block_descent(y, pv, s_star, u, qv, cap, tol=1e-9):
+def _y_block_descent(y, s, pv, s_star, u, qv, cap, tol=1e-9):
     """Exact cyclic minimization of the recommendation subproblem.
 
     The penalized objective is ``(a^2 rho / 2) ||Y^T pi - s_star||^2``: it
     depends on Y only through ``s = Y^T pi``. With the other rows held
     fixed, row i therefore solves a Euclidean projection of
-    ``(s_star - s + pi_i y_i) / pi_i`` onto its own polytope, which
+    ``(s_star - s) / pi_i + y_i`` onto its own polytope, which
     `_quality_row_prox` computes exactly, over the row's candidates only:
     the entries with ``u_ij > 0`` or a target above the cut, the target's
     N-th largest off-diagonal entry minus ``1/N``. Since ``u >= 0``, every
     other entry stays at or below the projection's shift at any floor
-    multiplier and gets no mass. Rows are visited in order of
+    multiplier and gets no mass. A row whose candidates carry two
+    similarity values (every row of a 0/1 matrix) and whose floor binds
+    is two capped projections, one per value, their totals fixed by the
+    floor; the rest search the floor multiplier by Newton steps (see
+    `_quality_row_prox`). `s` enters as ``y^T pv`` and moves in place by
+    ``pi_i`` times each row's change. Rows are visited in order of
     decreasing stationary mass; rows with vanishing mass do not move the
     objective and keep their starting values. Sweeps stop once no entry
-    moves by more than `tol`, or after `_Y_SWEEPS` sweeps with a warning.
-    Updates `y` in place and returns it.
+    moves by more than `tol`, or after `_Y_SWEEPS` sweeps with a warning
+    that also reports the last sweep's largest change of ``s``. Updates
+    `y` in place and returns it.
     """
     k = pv.size
-    s = y.T @ pv
     eps_pv = 1e-12 * float(pv.max(initial=0.0))
     rows = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
     upper = np.full(k, cap)
@@ -516,22 +587,24 @@ def _y_block_descent(y, pv, s_star, u, qv, cap, tol=1e-9):
     delta = 0.0
     for _ in range(_Y_SWEEPS):
         delta = 0.0
+        s_start = s.copy()
         for i in rows:
             p_i = pv[i]
-            rest = s - p_i * y[i]
             upper[i] = 0.0
             row, sigma[i] = _quality_row_prox(
-                (s_star - rest) / p_i, u[i], qv[i], upper, sigma[i]
+                (s_star - s) / p_i + y[i], u[i], qv[i], upper, sigma[i]
             )
             upper[i] = cap
-            delta = max(delta, float(np.abs(row - y[i]).max()))
-            s = rest + p_i * row
+            step = row - y[i]
+            delta = max(delta, float(np.abs(step).max()))
+            s += p_i * step
             y[i] = row
         if delta <= tol:
             return y
     _log.warning(
         "recommendation step: block descent stopped after %d sweeps, "
-        "largest entry change %.3e > %.1e", _Y_SWEEPS, delta, tol,
+        "largest entry change %.3e > %.1e, largest change of Y^T pi in the "
+        "last sweep %.3e", _Y_SWEEPS, delta, tol, float(np.abs(s - s_start).max()),
     )
     return y
 
@@ -543,8 +616,9 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     ||Y^T pi - s_star||^2`` with ``s_star = (lam + rho r) / (a rho)`` and
     ``r = pi - (1-a) p0``; the constraints act row-wise (row sums, box,
     zero diagonal, per-row quality floors). `_y_block_descent` minimizes
-    it row by row from `y0` (default: the top-N similarity matrix). When
-    ``a^2 rho`` vanishes the objective is constant and `y0` is returned.
+    it row by row from `y0` (default: the top-N similarity matrix), with
+    ``Y^T pi`` formed over the nonzeros of `y0`. When ``a^2 rho`` vanishes
+    the objective is constant and `y0` is returned.
     """
     pv = np.asarray(pi, dtype=float)
     u = np.asarray(inputs.similarity, dtype=float)
@@ -554,16 +628,19 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     q = inputs.quality
     lv = np.asarray(lam, dtype=float)
 
-    ym = np.asarray(top_n_similarity(inputs) if y0 is None else y0, dtype=float).copy()
+    start = top_n_similarity(inputs) if y0 is None else y0
+    ym = np.asarray(start, dtype=float).copy()
     if a * a * rho > 0.0:
         s_star = (lv + rho * (pv - (1.0 - a) * p0)) / (a * rho)
-        ym = _y_block_descent(ym, pv, s_star, u, q, 1.0 / n)
+        rows, cols, vals = _nonzeros(start)
+        s = np.bincount(cols, weights=vals * pv[rows], minlength=pv.size)
+        ym = _y_block_descent(ym, s, pv, s_star, u, q, 1.0 / n)
 
     # Restore any quality floor left marginally violated (a starting row the
     # descent did not visit, or a blended row): blend toward the
     # quality-maximal row, which lands exactly on the floor and stays inside
     # the row polytope.
-    got = (u * ym).sum(axis=1)
+    got = np.einsum("ij,ij->i", u, ym)
     short = np.flatnonzero(got < q - 1e-6)
     if short.size:
         y_top = np.asarray(top_n_similarity(inputs), dtype=float)

@@ -9,8 +9,10 @@ halved whenever the objective increases. The quadratic term is a
 matvec ``v -> Qv`` of a nonzero operator that must be linear, since each
 step applies it once and blends earlier products for the rest.
 
-The sort-based projection onto a capped simplex, `_project_capped`, is
-the recommendation step's row solver in `cacherec.optim`.
+The sort-based projection onto a capped simplex of any total,
+`_project_capped`, is the recommendation step's row solver in
+`cacherec.optim`; it also returns its shift, which tells the
+recommendation step's two-valued rows whether their floor binds.
 """
 
 from dataclasses import dataclass
@@ -53,37 +55,42 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _project_capped(v: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Exact projection of ``v`` onto ``{y : sum y = 1, 0 <= y <= upper}``.
+def _project_capped(v: np.ndarray, upper: np.ndarray, total: float = 1.0):
+    """Exact projection of ``v`` onto ``{y : sum y = total, 0 <= y <= upper}``.
 
-    The projection is ``clip(v - tau, 0, upper)`` for the shift ``tau`` at
-    which the clipped sum ``S(tau)`` equals 1. S is continuous, piecewise
+    The projection is ``clip(v - tau, 0, upper)`` for a shift ``tau`` at
+    which the clipped sum ``S(tau)`` equals `total`. S is continuous, piecewise
     linear and nonincreasing, with breakpoints at ``v_j`` and
     ``v_j - upper_j``. As in the capped-simplex projection of Wang & Lu
     (arXiv:1503.01002), one sort of the breakpoints evaluates S at all of
     them; the root lies on the linear piece after the last breakpoint with
-    ``S >= 1`` and is solved there in closed form. Needs ``sum(upper) >= 1``.
+    ``S >= total`` and is solved there in closed form. Needs
+    ``0 <= total <= sum(upper)``. Returns the projection and its shift:
+    the largest one when no entry is strictly inside its box, or ``max v``
+    when `total` is zero.
     """
     k = v.size
     # the projection commutes with shifting v, and the sums below lose
     # precision with the magnitude of v: measure from its largest entry
-    v = v - v.max()
+    v_max = v.max()
+    v = v - v_max
     t = np.concatenate((v, v - upper))
     order = np.argsort(t)
     ts = t[order]
-    at_cap = order >= k
     # S(t) = sum_{v_j > t} (v_j - t) - sum_{v_j - upper_j > t} (v_j - upper_j - t).
     # A breakpoint equal to t adds zero to either sum, so ties may sort in any
     # order. The sums over larger breakpoints accumulate from the top, where
-    # the entries are small.
-    n_cap = np.cumsum(at_cap)
-    n_low = np.arange(1, 2 * k + 1) - n_cap
-    above = np.cumsum(np.where(at_cap, -ts, ts)[::-1])[::-1]
-    s = np.append(above[1:], 0.0) - (n_cap - n_low) * ts
-    j = max(int(np.count_nonzero(s >= 1.0)) - 1, 0)
-    free = int(n_cap[j] - n_low[j])
-    tau = ts[j] + (s[j] - 1.0) / free if free > 0 else ts[j]
-    return np.minimum(np.maximum(v - tau, 0.0), upper)
+    # the entries are small. On the piece after each breakpoint S has slope
+    # minus the number of entries strictly inside their box.
+    sign = np.where(order >= k, -1.0, 1.0)
+    slope = np.cumsum(sign)
+    above = np.cumsum((sign * ts)[::-1])[::-1]
+    s = slope * ts
+    s[:-1] += above[1:]
+    j = max(int(np.count_nonzero(s >= total)) - 1, 0)
+    f = -int(slope[j])
+    tau = ts[j] + (s[j] - total) / f if f > 0 else ts[j]
+    return np.minimum(np.maximum(v - tau, 0.0), upper), float(v_max + tau)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def random_row(rng, k: int, n: int, i: int) -> np.ndarray:
     """A uniform draw projected onto row i's polytope: caps 1/N, none on i."""
     upper = np.full(k, 1.0 / n)
     upper[i] = 0.0
-    return _project_capped(rng.uniform(size=k), upper)
+    return _project_capped(rng.uniform(size=k), upper)[0]
 
 
 def miss_cost_vector(k: int, cached) -> np.ndarray:

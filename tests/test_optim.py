@@ -719,11 +719,139 @@ class TestQualityRowProx:
             assert y.min() >= 0.0 and np.all(y <= upper)
             assert float(u @ y) >= q - 1e-9
 
+    @staticmethod
+    def _check_against_oracle(w, u, q, upper):
+        k = w.size
+        y, sigma = _quality_row_prox(w, u, q, upper)
+        ref_obj, _ = qp_oracle(
+            c=-w, quad=np.eye(k), a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
+            g=u[None, :], h=np.array([q]), lower=np.zeros(k), upper=upper,
+        )
+        obj = 0.5 * float(y @ y) - float(w @ y)
+        assert abs(obj - ref_obj) <= 1e-9, obj - ref_obj
+        assert abs(float(y.sum()) - 1.0) <= 1e-12
+        assert y.min() >= 0.0 and np.all(y <= upper)
+        assert float(u @ y) >= q - 1e-12
+        return y, sigma
+
+    def test_two_valued_rows_match_qp_oracle(self):
+        # binding rows whose similarities take two values: 0/1 and alpha/beta
+        rng = np.random.default_rng(26)
+        checked = tied = 0
+        for trial in range(20):
+            k = int(rng.integers(4, 8))
+            n = int(rng.integers(1, k - 1))
+            i = int(rng.integers(k))
+            lo, hi = (0.0, 1.0) if trial % 2 else tuple(np.sort(rng.uniform(0.1, 0.9, 2)))
+            u = np.where(rng.uniform(size=k) < 0.5, hi, lo)
+            u[i] = 0.0
+            upper = np.full(k, 1.0 / n)
+            upper[i] = 0.0
+            if trial % 4 < 2:
+                w = rng.normal(0.0, 1.0, k)
+            else:  # few levels a cap apart: ties at the cut
+                w = rng.integers(-3, 3, k) / n
+            got = float(u @ _quality_row_prox(w, u, 0.0, upper)[0])
+            best = float(np.sort(u)[::-1][:n].sum()) / n
+            if best - got < 1e-6:
+                continue
+            q = got + float(rng.uniform(0.1, 1.0)) * (best - got)
+            y, sigma = self._check_against_oracle(w, u, q, upper)
+            assert sigma > 0.0, trial
+            assert abs(float(u @ y) - q) <= 1e-12, trial
+            checked += 1
+            tied += trial % 4 >= 2
+        assert checked >= 12 and tied >= 4
+
+    def test_two_valued_edge_floors_match_qp_oracle(self):
+        k, n = 7, 4
+        upper = np.full(k, 1.0 / n)
+        upper[0] = 0.0
+        w = np.array([0.0, 0.9, -0.2, 0.4, 0.6, 0.1, 0.3])
+        # q = 1 with five related items: the alpha-block gets no mass
+        u = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        y, sigma = self._check_against_oracle(w, u, 1.0, upper)
+        assert sigma > 0.0 and y[1] == 0.0
+        # a floor at the beta-block's capacity: both related items at the cap
+        u = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        y, sigma = self._check_against_oracle(w, u, 0.5, upper)
+        assert sigma > 0.0
+        npt.assert_allclose(y[[2, 5]], 0.25, atol=1e-15)
+        # no candidate at alpha: the alpha entries lie far below the cut,
+        # so every candidate carries beta and the plain projection meets q
+        u = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        w_far = np.where(u > 0.0, w, -10.0)
+        y, sigma = self._check_against_oracle(w_far, u, 1.0, upper)
+        assert sigma == 0.0
+        # alpha = 0.2 < beta = 0.7 with ties at the cut w_(4) - 1/4
+        u = np.array([0.0, 0.2, 0.7, 0.2, 0.7, 0.2, 0.2])
+        w_tied = np.array([0.0, 0.5, 0.25, 0.5, 0.0, 0.25, 0.5])
+        y, sigma = self._check_against_oracle(w_tied, u, 0.4, upper)
+        assert sigma > 0.0 and abs(float(u @ y) - 0.4) <= 1e-12
+
+    def test_binding_binary_row_needs_few_projections(self, monkeypatch):
+        # rows of a 0/1 similarity at cars-large's scale: K = 757, N = 4,
+        # 12 related items, floor 0.8
+        rng = np.random.default_rng(27)
+        k, n = 757, 4
+        calls = []
+        real = optim._project_capped
+        monkeypatch.setattr(optim, "_project_capped",
+                            lambda *args: calls.append(1) or real(*args))
+        most = 0
+        for _ in range(40):
+            i = int(rng.integers(k))
+            u = np.zeros(k)
+            u[rng.choice(np.delete(np.arange(k), i), 12, replace=False)] = 1.0
+            upper = np.full(k, 1.0 / n)
+            upper[i] = 0.0
+            w = rng.normal(0.0, 1.0, k)
+            calls.clear()
+            y, sigma = _quality_row_prox(w, u, 0.8, upper)
+            assert sigma > 0.0
+            most = max(most, len(calls))
+            ref, _ = _full_length_row_prox(w, u, 0.8, upper)
+            assert np.abs(y - ref).max() <= 1e-12
+        assert most <= 3
+
+    def test_roundoff_boundary_takes_no_search(self, caplog, monkeypatch):
+        # targets spread over thousands carry errors near 1e-12, so a floor
+        # within 2e-11 of the plain projection's quality sits where the
+        # block shifts and the plain projection may disagree on whether it
+        # binds; such a 0/1 row still takes at most 3 projections. Sums of
+        # about 50 such entries hold to 1e-9, not 1e-12.
+        rng = np.random.default_rng(29)
+        k, n = 120, 4
+        calls = []
+        real = optim._project_capped
+        monkeypatch.setattr(optim, "_project_capped",
+                            lambda *args: calls.append(1) or real(*args))
+        boundary = 0
+        for _ in range(60):
+            u = np.zeros(k)
+            u[rng.choice(np.arange(1, k), 15, replace=False)] = 1.0
+            upper = np.full(k, 1.0 / n)
+            upper[0] = 0.0
+            w = -89.0 + rng.normal(0.0, 0.02, k)
+            w[rng.choice(np.flatnonzero(u > 0.0))] = 5500.0
+            w[rng.choice(np.flatnonzero((u == 0.0) & (upper > 0.0)))] = 5500.0 + rng.normal()
+            plain = real(w, upper)[0]
+            q = float(u @ plain) + float(rng.uniform(-2e-11, 2e-11))
+            calls.clear()
+            with caplog.at_level(logging.WARNING, logger="cacherec"):
+                y, sigma = _quality_row_prox(w, u, q, upper)
+            assert len(calls) <= 3
+            assert float(u @ y) >= q - 1e-9 and abs(float(y.sum()) - 1.0) <= 1e-9
+            assert np.abs(y - plain).max() <= 1e-9
+            boundary += sigma == 0.0 and float(u @ plain) < q - 1e-12
+        assert caplog.records == []
+        assert boundary >= 5
+
 
 def _full_length_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
     """`_quality_row_prox` without its candidate set: every projection
     runs over all K entries."""
-    y = _project_capped(w, upper)
+    y = _project_capped(w, upper)[0]
     got = float(u_row @ y)
     if got >= q_floor - 1e-12:
         return y, 0.0
@@ -746,7 +874,7 @@ def _full_length_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         sl = slope(y)
         sg = (q_floor - got) / sl if sl > 1e-12 else 1e-3 * spread
     for _ in range(optim._ROW_NEWTON_STEPS):
-        y2 = _project_capped(w + sg * u_row, upper)
+        y2 = _project_capped(w + sg * u_row, upper)[0]
         got2 = float(u_row @ y2)
         if abs(got2 - q_floor) <= land:
             return y2, sg
@@ -787,6 +915,11 @@ def _y_step_row(rng, k, n, u_kind, w_kind):
         u = np.where(rng.uniform(size=k) < min(0.5, 8.0 / k), rng.uniform(0.1, 1.0, k), 0.0)
     elif u_kind == "continuous":
         u = rng.uniform(0.0, 1.0, k)
+    elif u_kind == "binary":
+        u = (rng.uniform(size=k) < min(0.5, 8.0 / k)).astype(float)
+    elif u_kind == "two-level":  # alpha < beta, both positive
+        alpha = float(rng.uniform(0.05, 0.5))
+        u = np.where(rng.uniform(size=k) < 0.3, alpha + float(rng.uniform(0.1, 0.5)), alpha)
     else:
         u = rng.choice([0.0, 0.5, 1.0], k)
     u[i] = 0.0
@@ -808,10 +941,11 @@ class TestRowProxCandidates:
             for _ in range(rows):
                 n = int(rng.integers(1, min(6, k - 1) + 1))
                 w, u, upper = _y_step_row(
-                    rng, k, n, rng.choice(["sparse", "continuous", "levels"]),
+                    rng, k, n,
+                    rng.choice(["sparse", "continuous", "levels", "binary", "two-level"]),
                     rng.choice(["normal", "levels"]),
                 )
-                plain = float(u @ _project_capped(w, upper))
+                plain = float(u @ _project_capped(w, upper)[0])
                 best = float(np.sort(u)[::-1][:n].sum()) / n
                 if best - plain > 1e-6 and rng.uniform() < 0.7:
                     q = plain + float(rng.uniform(0.05, 1.0)) * (best - plain)
@@ -993,7 +1127,31 @@ class TestSolverWarnings:
         with caplog.at_level(logging.WARNING, logger="cacherec"):
             cars_y_step(full / full.sum(), lam, 2.0, inp)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "block descent stopped" in caplog.records[0].getMessage()
+        msg = caplog.records[0].getMessage()
+        assert "block descent stopped" in msg and "change of Y^T pi" in msg
+        # each row moves once per sweep, so no entry of s = Y^T pi moves by
+        # more than the largest entry change (pi sums to 1)
+        delta, s_change = caplog.records[0].args[1], caplog.records[0].args[3]
+        assert 0.0 < s_change <= delta * (1.0 + 1e-12)
+
+    def test_row_newton_search_at_step_cap_warns(self, caplog, monkeypatch):
+        rng = np.random.default_rng(28)
+        k, n = 30, 3
+        u = rng.uniform(0.0, 1.0, k)
+        u[0] = 0.0
+        upper = np.full(k, 1.0 / n)
+        upper[0] = 0.0
+        w = rng.normal(0.0, 1.0, k)
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            exact, _ = _quality_row_prox(w, u, 0.9, upper)
+        assert caplog.records == []
+        monkeypatch.setattr(optim, "_ROW_NEWTON_STEPS", 1)
+        with caplog.at_level(logging.WARNING, logger="cacherec"):
+            y, _ = _quality_row_prox(w, u, 0.9, upper)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "floor multiplier search stopped" in caplog.records[0].getMessage()
+        assert abs(float(u @ y) - 0.9) <= 1e-12 and abs(float(y.sum()) - 1.0) <= 1e-12
+        assert np.abs(y - exact).max() > 1e-9  # the blend is not the projection
 
     def test_row_walk_at_step_cap_warns(self, caplog, monkeypatch):
         monkeypatch.setattr(optim, "_ROW_WALK_STEPS", 0)

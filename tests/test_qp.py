@@ -29,7 +29,7 @@ def project_row(v, n: int, i: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     upper = np.full(v.size, 1.0 / n)
     upper[i] = 0.0
-    return _project_capped(v, upper)
+    return _project_capped(v, upper)[0]
 
 
 def qp_objective(c, matvec, v: np.ndarray) -> float:
@@ -109,6 +109,30 @@ class TestProjectRowPolytope:
             pv = project_row(v, n, i)
             npt.assert_allclose(project_row(pu, n, i), pu, atol=1e-10)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-10
+
+
+class TestProjectCappedTotal:
+    def test_any_total_scales_the_unit_projection(self):
+        # onto sum T: T proj(v / T, upper / T); the shift reproduces the point
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(2, 30))
+            v = rng.normal(0.0, 1.0, k)
+            upper = np.full(k, 1.0 / int(rng.integers(1, k + 1)))
+            total = float(rng.uniform(0.01, 1.0)) * float(upper.sum())
+            y, tau = _project_capped(v, upper, total)
+            ref, _ = _project_capped(v / total, upper / total)
+            npt.assert_allclose(y, total * ref, atol=1e-12)
+            assert abs(float(y.sum()) - total) <= 1e-12
+            npt.assert_allclose(np.clip(v - tau, 0.0, upper), y, atol=1e-12)
+
+    def test_shift_at_the_top_of_its_range(self):
+        # every entry at a bound: S equals the total for tau in [0, 4.5]
+        y, tau = _project_capped(np.array([5.0, 0.0]), np.full(2, 0.5), 0.5)
+        npt.assert_allclose(y, [0.5, 0.0], atol=1e-15)
+        assert tau == 4.5
+        y, tau = _project_capped(np.array([0.3, -1.0, 2.0]), np.full(3, 0.5), 0.0)
+        assert not y.any() and tau == 2.0
 
 
 class TestSolveQpExamples:
