@@ -55,34 +55,39 @@ class RatingsTable:
         lo, hi = self.scale
         if not (ratings.min() >= lo and ratings.max() <= hi):  # NaN fails too
             raise ValueError(f"ratings must lie in [{lo}, {hi}]")
-        # one int64 key per pair, from dense indices rather than raw ids,
-        # so it cannot overflow whatever the ids are
-        _, user_idx = np.unique(users, return_inverse=True)
+        # dense indices into the distinct ids, kept for `cf_fill`; one int64
+        # key per pair from them rather than from raw ids, so it cannot
+        # overflow whatever the ids are
+        user_vals, user_idx = np.unique(users, return_inverse=True)
         item_vals, item_idx = np.unique(items, return_inverse=True)
         key = np.sort(user_idx.astype(np.int64) * item_vals.size + item_idx)
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate (user, item) pairs")
-        object.__setattr__(self, "user_ids", users)
-        object.__setattr__(self, "item_ids", items)
-        object.__setattr__(self, "ratings", ratings)
+        for arr in (user_vals, item_vals, user_idx, item_idx):
+            arr.flags.writeable = False
+        for name, value in (("user_ids", users), ("item_ids", items), ("ratings", ratings),
+                            ("_users", user_vals), ("_items", item_vals),
+                            ("_user_idx", user_idx), ("_item_idx", item_idx)):
+            object.__setattr__(self, name, value)
 
     @property
     def users(self) -> np.ndarray:
-        """Distinct user ids, ascending."""
-        return np.unique(self.user_ids)
+        """Distinct user ids, ascending (read-only)."""
+        return self._users
 
     @property
     def items(self) -> np.ndarray:
-        """Distinct item ids, ascending."""
-        return np.unique(self.item_ids)
+        """Distinct item ids, ascending (read-only)."""
+        return self._items
 
 
-def _item_item_similarity(r: np.ndarray, observed: np.ndarray) -> np.ndarray:
+def _item_item_similarity(r: np.ndarray, observed: np.ndarray):
     """Cosine over co-rated, item-mean-centered rating vectors.
 
     For every item pair the dot product and both norms run over the
     users who rated both items; entries centered by each item's overall
-    mean rating. Pairs with no co-rater or a zero norm score 0.
+    mean rating. Pairs with no co-rater or a zero norm score 0. Returns
+    the similarity and the item means (0 for an item without ratings).
     """
     counts = observed.sum(axis=1)
     means = np.where(counts > 0, (r * observed).sum(axis=1) / np.maximum(counts, 1), 0.0)
@@ -95,7 +100,7 @@ def _item_item_similarity(r: np.ndarray, observed: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(denom > 0, dot / np.where(denom > 0, denom, 1.0), 0.0)
     np.fill_diagonal(sim, 0.0)
-    return sim
+    return sim, means
 
 
 def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
@@ -119,14 +124,11 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     r = np.zeros((items.size, users.size))
     observed = np.zeros_like(r, dtype=bool)
-    pos = (np.searchsorted(items, table.item_ids), np.searchsorted(users, table.user_ids))
+    pos = (table._item_idx, table._user_idx)
     r[pos] = table.ratings
     observed[pos] = True
-    del pos  # two int64 entries per rating; free them before the K x K work
 
-    sim = _item_item_similarity(r, observed)
-    counts = observed.sum(axis=1)
-    item_mean = (r * observed).sum(axis=1) / np.maximum(counts, 1)
+    sim, item_mean = _item_item_similarity(r, observed)
 
     # order[i] lists every item by (-sim[i, j], j): a stable sort keeps
     # equal similarities in index order. rank_t[j, i] is the place of j in
@@ -203,7 +205,7 @@ def prune_with_stats(u: SimilarityMatrix, n: int):
 
     Removing a content lowers other rows' sums, so the rule iterates to
     a fixpoint. Returns the compacted matrix, the old-to-new id mapping
-    and the number of sweeps performed.
+    (in ascending order of both) and the number of sweeps performed.
     """
     uv = np.asarray(u, dtype=float)
     k = uv.shape[0]
@@ -356,25 +358,11 @@ def prepare_movielens(path, theta: float = 0.6, list_size: int = 4):
     t1 = time.perf_counter()
     filled = cf_fill(table, k=10)
     t2 = time.perf_counter()
-    raw = symmetrize_max(cosine_similarity(filled))
-    u = binarize(raw, theta)
+    u = binarize(symmetrize_max(cosine_similarity(filled)), theta)
     t3 = time.perf_counter()
-    pruned, mapping, sweeps = prune_with_stats(u, list_size)
-    t4 = time.perf_counter()
-    _log.debug("prepare_movielens %s: load %.3f s, fill %.3f s, similarity %.3f s, "
-               "prune %.3f s", path, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
-    items = table.items
-    kept_ids = [int(items[old]) for old in sorted(mapping, key=mapping.get)]
-    provenance = {
-        "source": str(path),
-        "kind": "movielens",
-        "ratings": int(table.ratings.size),
-        "theta": theta,
-        "list_size": list_size,
-        "prune_sweeps": sweeps,
-        "catalog_size": pruned.size,
-    }
-    return pruned, kept_ids, provenance
+    seconds = {"load": t1 - t0, "fill": t2 - t1, "similarity": t3 - t2}
+    return _prune_and_describe(u, table.items.tolist(), list_size, seconds, source=str(path),
+                               kind="movielens", ratings=int(table.ratings.size), theta=theta)
 
 
 def prepare_lastfm(path, list_size: int = 4):
@@ -387,17 +375,22 @@ def prepare_lastfm(path, list_size: int = 4):
     t1 = time.perf_counter()
     u = binarize(s, 0.0)
     t2 = time.perf_counter()
+    return _prune_and_describe(u, ids, list_size, {"load": t1 - t0, "similarity": t2 - t1},
+                               source=str(path), kind="lastfm", theta=0.0)
+
+
+def _prune_and_describe(u, ids, list_size, seconds, **provenance):
+    """The shared tail of the preparation pipelines.
+
+    Prunes `u` at `list_size`, lists the ids of the kept rows (`ids[i]`
+    is the id of row i of `u`) and completes the `provenance` record. Logs
+    every stage's seconds, pruning last, at DEBUG on the ``cacherec``
+    logger.
+    """
+    t0 = time.perf_counter()
     pruned, mapping, sweeps = prune_with_stats(u, list_size)
-    t3 = time.perf_counter()
-    _log.debug("prepare_lastfm %s: load %.3f s, similarity %.3f s, prune %.3f s",
-               path, t1 - t0, t2 - t1, t3 - t2)
-    kept_ids = [ids[old] for old in sorted(mapping, key=mapping.get)]
-    provenance = {
-        "source": str(path),
-        "kind": "lastfm",
-        "theta": 0.0,
-        "list_size": list_size,
-        "prune_sweeps": sweeps,
-        "catalog_size": pruned.size,
-    }
-    return pruned, kept_ids, provenance
+    seconds["prune"] = time.perf_counter() - t0
+    _log.debug("prepare_%s %s: %s", provenance["kind"], provenance["source"],
+               ", ".join(f"{stage} {s:.3f} s" for stage, s in seconds.items()))
+    provenance.update(list_size=list_size, prune_sweeps=sweeps, catalog_size=pruned.size)
+    return pruned, [ids[old] for old in mapping], provenance

@@ -401,13 +401,18 @@ def _fmt(value):
     return value
 
 
+def _write_csv(dest, columns, rows) -> None:
+    """Write a header and the rows' values, floats in 17 digits, to `dest`,
+    a path or an open text stream."""
+    with open_text(dest, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_results(rows, path) -> None:
     """Write result rows as CSV with the fixed, versioned column set."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
+    _write_csv(path, RESULT_COLUMNS, ([row[c] for c in RESULT_COLUMNS] for row in rows))
 
 
 def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
@@ -438,9 +443,5 @@ def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         dest = Path(cfg.output_dir) / "trace.csv"
     if dest is not None:
-        with open_text(dest, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in rows:
-                writer.writerow([r[0]] + [f"{v:.17g}" for v in r[1:]])
+        _write_csv(dest, TRACE_COLUMNS, rows)
     return rows

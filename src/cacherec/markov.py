@@ -186,4 +186,4 @@ def quality_of(y: RecMatrix, u: SimilarityMatrix) -> np.ndarray:
     uv = np.asarray(u, dtype=float)
     if yv.shape != uv.shape:
         raise ValueError(f"dimension mismatch: {yv.shape} vs {uv.shape}")
-    return (yv * uv).sum(axis=1)
+    return np.einsum("ij,ij->i", yv, uv)

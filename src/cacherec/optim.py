@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import _chain, expected_cost, stationary
+from .markov import _chain, expected_cost, quality_of, stationary
 from .model import (
     CostVector,
     RecMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "top_n_similarity",
     "myopic_solve",
     "residual_c",
-    "augmented_lagrangian",
     "cars_pi_step",
     "cars_y_step",
     "cars_solve",
@@ -97,9 +96,12 @@ class OptimInputs:
     """Shared inputs of both optimizers.
 
     `quality` may be a scalar (uniform floor) or a per-row vector; it is
-    stored as a vector. Construction verifies that every row can reach
-    its floor: the best attainable row quality is the mean of the N
-    largest off-diagonal similarities.
+    stored as a vector. Construction selects each row's N most similar
+    items once, the diagonal excluded and ties toward the lowest index (a
+    stable sort of the negated row), for `max_quality`, `top_n_similarity`
+    and the recommendation step's floor repair, and verifies that every
+    row can reach its floor: the best attainable row quality is the mean
+    of the similarities of that selection.
     """
 
     similarity: SimilarityMatrix
@@ -124,6 +126,11 @@ class OptimInputs:
             raise ValueError("quality floors must lie in [0, 1]")
         q.flags.writeable = False
         object.__setattr__(self, "quality", q)
+        r = -np.asarray(self.similarity, dtype=float)
+        np.fill_diagonal(r, np.inf)
+        top = np.argsort(r, axis=1, kind="stable")[:, :self.model.list_size].copy()
+        top.flags.writeable = False
+        object.__setattr__(self, "_top_n", top)
         best = self.max_quality()
         short = np.flatnonzero(best < q - 1e-12)
         if short.size:
@@ -139,11 +146,8 @@ class OptimInputs:
 
     def max_quality(self) -> np.ndarray:
         """Best attainable quality per row: mean of the N largest u_ij, j != i."""
-        u = np.asarray(self.similarity, dtype=float).copy()
-        np.fill_diagonal(u, -np.inf)
-        n = self.model.list_size
-        top = -np.sort(-u, axis=1)[:, :n]
-        return top.sum(axis=1) / n
+        u = np.asarray(self.similarity, dtype=float)
+        return np.take_along_axis(u, self._top_n, axis=1).sum(axis=1) / self.model.list_size
 
 
 def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
@@ -152,14 +156,9 @@ def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
     Ties break toward the lowest index; the diagonal is excluded. This is
     the quality-maximal matrix, so it is feasible whenever the inputs are.
     """
-    r = np.array(inputs.similarity, dtype=float)
-    k = r.shape[0]
-    n = inputs.model.list_size
-    np.fill_diagonal(r, -np.inf)
-    idx = np.broadcast_to(np.arange(k), (k, k))
-    order = np.lexsort((idx, -r), axis=1)
+    k, n = inputs.size, inputs.model.list_size
     y = np.zeros((k, k))
-    y[np.arange(k)[:, None], order[:, :n]] = 1.0 / n
+    y[np.arange(k)[:, None], inputs._top_n] = 1.0 / n
     return RecMatrix(y, n)
 
 
@@ -347,15 +346,6 @@ def residual_c(pi, y, m: RequestModel) -> np.ndarray:
     """
     pv = np.asarray(pi, dtype=float)
     return pv - _chain(y, m)[1](pv)
-
-
-def augmented_lagrangian(pi, y, lam, rho: float, inputs: OptimInputs) -> float:
-    """Penalized objective ``pi.x + c.lam + (rho/2)||c||^2``."""
-    c = residual_c(pi, y, inputs.model)
-    pv = np.asarray(pi, dtype=float)
-    x = np.asarray(inputs.cost, dtype=float)
-    lv = np.asarray(lam, dtype=float)
-    return float(pv @ x) + float(c @ lv) + 0.5 * rho * float(c @ c)
 
 
 def cars_pi_step(
@@ -640,14 +630,13 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     # descent did not visit, or a blended row): blend toward the
     # quality-maximal row, which lands exactly on the floor and stays inside
     # the row polytope.
-    got = np.einsum("ij,ij->i", u, ym)
+    got = quality_of(ym, u)
     short = np.flatnonzero(got < q - 1e-6)
     if short.size:
-        y_top = np.asarray(top_n_similarity(inputs), dtype=float)
-        g_top = (u * y_top).sum(axis=1)
-        for i in short:
-            theta = (q[i] - got[i]) / (g_top[i] - got[i])
-            ym[i] = (1.0 - theta) * ym[i] + theta * y_top[i]
+        g_top = inputs.max_quality()[short]
+        theta = ((q[short] - got[short]) / (g_top - got[short]))[:, None]
+        ym[short] *= 1.0 - theta
+        ym[short[:, None], inputs._top_n[short]] += theta / n
 
     return RecMatrix(ym, n)
 

@@ -20,6 +20,8 @@ __all__ = [
     "qp_oracle",
     "best_deterministic_cost",
     "cf_fill_ref",
+    "augmented_lagrangian_ref",
+    "session_hit_ratio_ref",
 ]
 
 
@@ -32,6 +34,36 @@ def transition_ref(y, p0, a):
     for i in range(k):
         p[i] = a * y[i] + (1.0 - a) * p0
     return p
+
+
+def augmented_lagrangian_ref(pi, y, lam, rho: float, x, p0, a: float) -> float:
+    """Penalized objective ``pi.x + c.lam + (rho/2)||c||^2`` of the
+    stationary-cost problem, with the stationarity residual
+    ``c = pi - pi P`` taken against the dense P of `transition_ref`."""
+    pi = np.asarray(pi, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    c = pi - pi @ transition_ref(y, p0, a)
+    return float(pi @ np.asarray(x, dtype=float)) + float(c @ lam) + 0.5 * rho * float(c @ c)
+
+
+def session_hit_ratio_ref(y, p0, a, hit, total: int, length: int) -> float:
+    """Expected hit ratio of `total` requests in sessions of `length`.
+
+    There are ceil(total / length) sessions, the last one cut so the
+    lengths sum to `total`. Each opens with a draw from `p0`, so its t-th
+    request (from 0) has law ``p0 P^t`` with P from `transition_ref`, and
+    hits with probability ``p0 P^t hit``; the ratio averages those terms
+    over every request.
+    """
+    p = transition_ref(y, p0, a)
+    hit = np.asarray(hit, dtype=float)
+    full, rest = divmod(int(total), int(length))
+    law = np.asarray(p0, dtype=float)
+    hits = 0.0
+    for t in range(min(int(length), int(total))):
+        hits += (full + (t < rest)) * float(law @ hit)
+        law = law @ p
+    return hits / total
 
 
 def stationary_ref(p):

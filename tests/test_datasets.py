@@ -137,7 +137,8 @@ class TestCfFill:
 
         r = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         observed = np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1]], dtype=bool)
-        sim = _item_item_similarity(r, observed)
+        sim, means = _item_item_similarity(r, observed)
+        npt.assert_array_equal(means, [2.0, 2.0, 1.5])
         npt.assert_allclose(sim[0, 1], -1.0, atol=1e-12)
         npt.assert_allclose(sim[0, 2], 0.7071067811865476, atol=1e-12)
         npt.assert_allclose(sim[1, 2], -0.7071067811865476, atol=1e-12)

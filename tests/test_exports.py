@@ -1,5 +1,6 @@
-"""Every exported name resolves, the package exports exactly its submodules' names,
-and importing it loads numpy but not scipy."""
+"""The package exports exactly the declared public names, every one resolves, the
+package exports exactly its submodules' names, and importing it loads numpy but not
+scipy."""
 
 import importlib
 import json
@@ -14,6 +15,29 @@ import pytest
 import cacherec
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(cacherec.__path__))
+
+
+# The public surface, spelled out so that any change to it shows as a diff here.
+PUBLIC_NAMES = [
+    "CANONICAL_POLICIES", "CachePlacement", "CarsConfig", "CarsResult", "ConfigError",
+    "CostVector", "InfeasibleQualityError", "MAXITER", "OPTIMAL", "OptimInputs",
+    "PopularityVector", "QpSolution", "RESULT_COLUMNS", "RatingsTable", "RecMatrix",
+    "RequestModel", "SCHEMA_VERSION", "ScenarioConfig", "SessionConfig", "SimMetrics",
+    "SimilarityMatrix", "StationaryVector", "TRACE_COLUMNS", "Violation", "__version__",
+    "anchored_similarity", "binarize", "build_grid", "cache_hit_ratio", "cars_pi_step",
+    "cars_solve", "cars_y_step", "cf_fill", "cosine_similarity", "emit_convergence_trace",
+    "expected_cost", "file_sha256", "load_lastfm_triplets", "load_matrix",
+    "load_movielens_csv", "myopic_solve", "prepare_lastfm", "prepare_movielens",
+    "project_simplex", "prune_with_stats", "quality_of", "residual_c", "run_experiment",
+    "sample_rec_list", "save_matrix", "simulate", "solve_qp", "stationary",
+    "stationary_direct", "symmetrize_max", "top_c_cache", "top_n_similarity",
+    "validate_rec_matrix", "write_provenance", "write_results", "zipf_popularity",
+]
+
+
+def test_package_all_is_the_declared_public_surface():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(cacherec.__all__) == PUBLIC_NAMES
 
 
 def test_package_all_resolves():

@@ -16,7 +16,6 @@ from cacherec import (
     RequestModel,
     SimilarityMatrix,
     anchored_similarity,
-    augmented_lagrangian,
     cars_pi_step,
     cars_solve,
     cars_y_step,
@@ -35,6 +34,7 @@ from cacherec.optim import _quality_row_prox
 from cacherec.qp import _project_capped
 
 from oracles import (
+    augmented_lagrangian_ref,
     best_deterministic_cost,
     qp_oracle,
     row_lp_oracle,
@@ -54,6 +54,12 @@ def make_inputs(k, n, rng, q=0.0, a=0.8, density=0.9):
     x = rng.uniform(0.0, 1.0, k)
     model = RequestModel(p0, a, n)
     return OptimInputs(SimilarityMatrix(u), model, x, q)
+
+
+def augmented_lagrangian(pi, y, lam, rho, inputs) -> float:
+    """The penalized objective of `inputs`' stationary-cost problem."""
+    m = inputs.model
+    return augmented_lagrangian_ref(pi, y, lam, rho, inputs.cost, m.popularity, m.follow_prob)
 
 
 def one_step_cost(y, inputs) -> float:
@@ -1054,6 +1060,35 @@ class TestCarsYStep:
             y = cars_y_step(pi, rng.normal(0.0, 1.0, k), float(rng.uniform(0.1, 5.0)), inp)
             assert validate_rec_matrix(y, 1e-9) == [], trial
             assert np.all(quality_of(y, inp.similarity) >= inp.quality - 1e-6), trial
+
+    def test_floor_repair_blends_an_unvisited_short_row_toward_top_n(self):
+        # row i starts below its floor and has no stationary mass, so the
+        # descent skips it; the repair then blends it toward its top-N row
+        # just far enough to land on the floor
+        rng = np.random.default_rng(26)
+        for trial in range(6):
+            k = int(rng.integers(5, 12))
+            n = int(rng.integers(1, 3))
+            inp = binding_instance(rng, k, n)
+            u, q = np.asarray(inp.similarity), inp.quality
+            i = int(rng.integers(k))
+            y0 = np.array(top_n_similarity(inp))
+            y0[i] = 0.0
+            y0[i, np.argsort(u[i] + np.eye(k)[i], kind="stable")[:n]] = 1.0 / n
+            g0 = float(u[i] @ y0[i])
+            assert g0 < q[i] - 1e-6, trial
+            pi = rng.uniform(0.2, 1.0, k)
+            pi[i] = 0.0
+            pi /= pi.sum()
+            y = np.asarray(cars_y_step(pi, rng.normal(0.0, 0.5, k), 1.0, inp,
+                                       RecMatrix(y0, n)))
+            assert validate_rec_matrix(y, 1e-9, n) == [], trial
+            assert np.all(quality_of(y, u) >= q - 1e-9), trial
+            top = np.asarray(top_n_similarity(inp))[i]
+            theta = (q[i] - g0) / (float(u[i] @ top) - g0)
+            assert 0.0 < theta < 1.0, trial
+            assert np.abs(y[i] - ((1.0 - theta) * y0[i] + theta * top)).max() <= 1e-12, trial
+            assert abs(float(u[i] @ y[i]) - q[i]) <= 1e-9, trial
 
     def test_single_support_matches_reduced_problem(self):
         rng = np.random.default_rng(10)
