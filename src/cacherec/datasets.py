@@ -133,12 +133,15 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
     # order[i] lists every item by (-sim[i, j], j): a stable sort keeps
     # equal similarities in index order. rank_t[j, i] is the place of j in
     # order[i], so the k best rated neighbors of i are the k rated items
-    # of smallest rank, taken back through order.
+    # of smallest rank, taken back through order; sim_ord holds their
+    # weights in the same places.
     size = items.size
     ids = np.arange(size, dtype=np.int32)
     order = np.argsort(-sim, axis=1, kind="stable").astype(np.int32)
     rank_t = np.empty_like(order)
     rank_t[order, ids[:, None]] = ids
+    sim_ord = np.take_along_axis(sim, order, axis=1)
+    r_t = r.T.copy()
 
     out = r.copy()
     for uj in range(users.size):
@@ -152,11 +155,11 @@ def cf_fill(table: RatingsTable, k: int = 10) -> np.ndarray:
             # the ranks in a row are distinct, so these are exactly the k smallest
             ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
         ranks.sort(axis=1)
-        # flat offsets of the missing rows in order and sim
-        row = missing[:, None] * size
-        nbr = order.take(row + ranks)
-        w = sim.take(row + nbr)
-        vals = r[:, uj].take(nbr)
+        # flat offsets into the missing rows of order and sim_ord
+        at = missing[:, None] * size + ranks
+        nbr = order.take(at)
+        w = sim_ord.take(at)
+        vals = r_t[uj].take(nbr)
         denom = np.abs(w).sum(axis=1)
         num = (w * vals).sum(axis=1)
         pred = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), item_mean[missing])
@@ -283,18 +286,62 @@ def zipf_popularity(k: int, s: float) -> PopularityVector:
 # File ingestion
 # ---------------------------------------------------------------------------
 
+_RATING_ROW = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64)])
+
+
+def _rating_columns(reader) -> list:
+    """Read the header row from `reader`; the userId, movieId and rating indices."""
+    header = next(reader, [])
+    try:
+        return [header.index(name) for name in ("userId", "movieId", "rating")]
+    except ValueError:
+        raise ValueError(
+            f"expected columns userId,movieId,rating[,timestamp], got {header}"
+        ) from None
+
+
 def load_movielens_csv(path) -> RatingsTable:
-    """Read a `userId,movieId,rating,timestamp` CSV with a header row."""
+    """Read a `userId,movieId,rating,timestamp` CSV with a header row.
+
+    Columns are found by the header. A well-formed file is parsed in one
+    numpy pass. Anything numpy cannot parse (a non-ASCII byte, `1_0`, an
+    id past int64, a short row, ...) is read again by the row reader,
+    which accepts what Python's `int` and `float` accept and names the
+    line of the first row it cannot read.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        cols = _rating_columns(reader)
+        header_lines = reader.line_num
+        has_rows = any(reader)
+    rows = np.empty(0, _RATING_ROW)
+    if has_rows:  # numpy warns on a file without data rows
+        try:
+            # With quotechar, numpy splits quoted fields as csv.reader does;
+            # skiprows skips the header's physical lines. ASCII only:
+            # numpy's integer parser reads some non-ASCII letters as
+            # digits. One difference is left: numpy strips \x1c-\x1f
+            # around a number, which int() and float() reject.
+            rows = np.loadtxt(path, _RATING_ROW, delimiter=",", comments=None,
+                              skiprows=header_lines, usecols=cols, quotechar='"',
+                              encoding="ascii", ndmin=1)
+        except ValueError as exc:
+            _log.debug("load_movielens_csv %s: the row reader ran, numpy could not parse "
+                       "the file: %s: %s", path, type(exc).__name__, exc)
+            return _read_rating_rows(path)
+    return RatingsTable(rows["user"], rows["item"], rows["rating"])
+
+
+def _read_rating_rows(path) -> RatingsTable:
+    """Read the ratings CSV row by row with `csv.reader`, `int` and `float`.
+
+    The reader of record for the files numpy cannot parse, and the
+    reference that `load_movielens_csv`'s numpy pass is tested against.
+    """
     users, items, ratings = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        try:
-            iu, ii, ir = (header.index(name) for name in ("userId", "movieId", "rating"))
-        except ValueError:
-            raise ValueError(
-                f"expected columns userId,movieId,rating[,timestamp], got {header}"
-            ) from None
+        iu, ii, ir = _rating_columns(reader)
         for row in reader:
             if not row:
                 continue

@@ -311,7 +311,8 @@ def _point_rows(cfg: ScenarioConfig, pt: _GridPoint, u) -> list:
 
     The point's popularity, cache and costs are built once, and myopic is
     solved once: its matrix is the `myopic` row's and the warm start of
-    the `cars` row, and an error it raises fails both rows alike. Returns
+    the `cars` row, and an error it raises fails both rows alike. Its
+    inputs also give the `norec` row its top-N matrix. Returns
     the rows in canonical policy order. Each row's `wall_millis` times
     the work its result rests on, so the `myopic` and `cars` rows both
     include the myopic solve.
@@ -335,7 +336,9 @@ def _point_rows(cfg: ScenarioConfig, pt: _GridPoint, u) -> list:
             iterations = 0
             if policy == "norec":
                 model = RequestModel(p0, 0.0, pt.list_size)
-                y = top_n_similarity(OptimInputs(u, model, x, 0.0))
+                # the top-N selection depends only on the similarity and N
+                inputs = myopic[0] if isinstance(myopic, tuple) else OptimInputs(u, model, x, 0.0)
+                y = top_n_similarity(inputs)
                 analytic = float(np.asarray(p0)[sorted(cache.cached)].sum())
             else:
                 if isinstance(myopic, Exception):

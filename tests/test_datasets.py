@@ -4,6 +4,7 @@ import hashlib
 import logging
 import os
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +24,7 @@ from cacherec import (
     symmetrize_max,
     zipf_popularity,
 )
-from cacherec.datasets import prune_with_stats
+from cacherec.datasets import _read_rating_rows, prune_with_stats
 from cacherec.experiments import ConfigError, ScenarioConfig, _similarity_for
 from oracles import cf_fill_ref
 
@@ -63,6 +64,26 @@ def tie_heavy_rows(seed):
         columns.append([(int(u), float(rng.choice(levels))) for u in raters])
     return [(int(user_ids[u]), int(item_ids[i]), value)
             for i, column in enumerate(columns) for u, value in column]
+
+
+def write_ratings(path, text):
+    """Write `text` to `path` as UTF-8 with its line endings kept."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def read_outcome(read, path):
+    """The columns' values and dtypes that `read` returns, or its error text."""
+    try:
+        t = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(a.tolist(), a.dtype) for a in (t.user_ids, t.item_ids, t.ratings)]
+
+
+def row_reader_ran(records):
+    return [r for r in records if "row reader" in r.getMessage()]
 
 
 # k runs over 1..11 across the seeds
@@ -420,6 +441,79 @@ class TestLoaders:
         path.write_text(f"userId,movieId,rating,timestamp\n1,10,4.0,0\n{bad}\n")
         with pytest.raises(ValueError, match="^line 3: "):
             load_movielens_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "userId,movieId,rating,timestamp\n1,10,4.0,100\n1,20,2.5,101\n2,10,3.0,102\n",
+        "timestamp,rating,movieId,userId\n0,4.0,10,1\n0,2.5,20,2\n",
+        "userId,movieId,rating,timestamp\n1,10,4.0,0\n\n\n2,20,2.5,0\n",
+        "userId,movieId,rating,timestamp,tag\n1,10,4.0,0,x\n2,20,2.5,0,y,z\n",
+        "userId,movieId,rating,timestamp\r\n1,10,4.0,0\r\n2,20,2.5,0\r\n",
+        "userId,movieId,rating,timestamp\n 1 ,\t10, 4.0 ,0\n2 , 20,2.5\t,0\n",
+        'userId,movieId,rating,"note\n5,6,3,"\n1,10,4.0,0\n',
+    ], ids=["round-trip", "header-reordered", "blank-lines", "extra-columns", "crlf",
+            "whitespace-padded", "quoted-newline-in-header"])
+    def test_numpy_pass_matches_row_reader(self, tmp_path, caplog, text):
+        path = write_ratings(tmp_path / "ratings.csv", text)
+        with caplog.at_level(logging.DEBUG, logger="cacherec"):
+            fast = read_outcome(load_movielens_csv, path)
+        assert not row_reader_ran(caplog.records)
+        assert fast == read_outcome(_read_rating_rows, path)
+        assert fast[0][1] == fast[1][1] == np.int64 and fast[2][1] == np.float64
+
+    @pytest.mark.parametrize("row, expected", [
+        ("1_0,10,4.0,0", [10]),
+        ("12345678901234567890,10,4.0,0", [12345678901234567890]),
+        ('1,10,4.0,"a,b"', [1]),
+        ('1,10,4.0,"a\n2,20,3.0,"', [1]),
+        ("1,10,4.0,#0", [1]),
+        ("1,10#,4.0,0", "line 2: "),
+        ("\u0661,10,4.0,0", [1]),
+        ("\u0761,10,4.0,0", "line 2: "),
+    ], ids=["underscore", "20-digit-id", "quoted-comma", "quoted-newline", "hash-unused",
+            "hash-in-id", "arabic-indic-digit", "non-ascii-letter"])
+    def test_odd_rows_read_as_the_row_reader_reads_them(self, tmp_path, row, expected):
+        path = write_ratings(tmp_path / "ratings.csv",
+                             f"userId,movieId,rating,timestamp\n{row}\n")
+        outcome = read_outcome(load_movielens_csv, path)
+        assert outcome == read_outcome(_read_rating_rows, path)
+        if isinstance(expected, str):
+            assert outcome.startswith(expected)
+        else:
+            assert outcome[0][0] == expected
+
+    @pytest.mark.parametrize("text", ["userId,movieId,rating,timestamp\n",
+                                      "userId,movieId,rating\r\n\r\n\n"],
+                             ids=["header-only", "blank-lines-only"])
+    def test_header_only_is_empty_without_warning(self, tmp_path, text):
+        path = write_ratings(tmp_path / "ratings.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^ratings table is empty$"):
+                load_movielens_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,10,4.0\n1,10,3.0\n", "duplicate (user, item) pairs"),
+        ("1,10,4.0\n1,20,5.5\n", "ratings must lie in [0.5, 5.0]"),
+        ("1,10,nan\n", "ratings must lie in [0.5, 5.0]"),
+    ], ids=["duplicate", "out-of-scale", "nan"])
+    def test_table_errors_raise_from_numpy_pass(self, tmp_path, caplog, rows, message):
+        path = write_ratings(tmp_path / "ratings.csv", "userId,movieId,rating\n" + rows)
+        with caplog.at_level(logging.DEBUG, logger="cacherec"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_movielens_csv(path)
+        assert not row_reader_ran(caplog.records)
+
+    def test_fallback_logs_one_debug_line_naming_numpy_error(self, tmp_path, caplog):
+        path = write_ratings(tmp_path / "ratings.csv",
+                             "userId,movieId,rating\n1,10,4.0\n1_0,20,2.5\n")
+        with caplog.at_level(logging.DEBUG, logger="cacherec"):
+            t = load_movielens_csv(path)
+        npt.assert_array_equal(t.user_ids, [1, 10])
+        assert len(caplog.records) == 1
+        record = caplog.records[0]
+        assert record.levelno == logging.DEBUG
+        assert row_reader_ran([record])
+        assert "ValueError: could not convert string '1_0'" in record.getMessage()
 
     def test_lastfm_triplets_symmetrized(self, tmp_path):
         path = tmp_path / "sim.tsv"
