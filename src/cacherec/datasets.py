@@ -307,8 +307,16 @@ def load_movielens_csv(path) -> RatingsTable:
     numpy pass. Anything numpy cannot parse (a non-ASCII byte, `1_0`, an
     id past int64, a short row, ...) is read again by the row reader,
     which accepts what Python's `int` and `float` accept and names the
-    line of the first row it cannot read.
+    line of the first row it cannot read. So is a file that holds an
+    ASCII separator \\x1c-\\x1f, which numpy strips around a number as
+    whitespace and `int` and `float` reject.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
+        _log.debug("load_movielens_csv %s: the row reader ran, the file holds an "
+                   "ASCII separator \\x1c-\\x1f", path)
+        return _read_rating_rows(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         cols = _rating_columns(reader)
@@ -320,8 +328,7 @@ def load_movielens_csv(path) -> RatingsTable:
             # With quotechar, numpy splits quoted fields as csv.reader does;
             # skiprows skips the header's physical lines. ASCII only:
             # numpy's integer parser reads some non-ASCII letters as
-            # digits. One difference is left: numpy strips \x1c-\x1f
-            # around a number, which int() and float() reject.
+            # digits.
             rows = np.loadtxt(path, _RATING_ROW, delimiter=",", comments=None,
                               skiprows=header_lines, usecols=cols, quotechar='"',
                               encoding="ascii", ndmin=1)
@@ -335,7 +342,7 @@ def load_movielens_csv(path) -> RatingsTable:
 def _read_rating_rows(path) -> RatingsTable:
     """Read the ratings CSV row by row with `csv.reader`, `int` and `float`.
 
-    The reader of record for the files numpy cannot parse, and the
+    The reader of record for the files the numpy pass leaves to it, and the
     reference that `load_movielens_csv`'s numpy pass is tested against.
     """
     users, items, ratings = [], [], []

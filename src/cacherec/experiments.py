@@ -22,7 +22,7 @@ import numpy as np
 from .datasets import anchored_similarity, prepare_lastfm, prepare_movielens, zipf_popularity
 from .markov import cache_hit_ratio
 from .model import RequestModel, SimilarityMatrix, _is_real, _is_whole
-from .optim import CarsConfig, OptimInputs, cars_solve, myopic_solve, top_n_similarity
+from .optim import CarsConfig, CarsIterate, OptimInputs, cars_solve, myopic_solve, top_n_similarity
 from .serialize import load_matrix, open_text
 from .simulate import SessionConfig, simulate, top_c_cache
 
@@ -61,7 +61,7 @@ RESULT_COLUMNS = (
     "seed",
     "error",
 )
-TRACE_COLUMNS = ("iter", "actual_cost", "virtual_cost", "residual_sq", "lambda_norm")
+TRACE_COLUMNS = ("iter", *CarsIterate._fields)
 
 # JSON keys of the "cars" and "session" objects; the warm start and the
 # session seed are set per run, not by the config.
@@ -423,25 +423,17 @@ def emit_convergence_trace(cfg: ScenarioConfig, dest=None):
 
     The solve is the sweep's: CARS warm-started at the myopic solution,
     so the trace's best cost is the cost of that point's `cars` row. The
-    CSV has one row per iterate: the true cost of the matrix, the cost at
-    the auxiliary distribution, the squared stationarity residual, and
-    the multiplier norm. Returns the rows.
+    CSV has one row per iterate: its index, then its `CarsIterate` (the
+    true cost of the matrix, the cost at the auxiliary distribution, the
+    squared stationarity residual, and the multiplier norm). Returns the
+    rows.
     """
     pt = build_grid(cfg)[0]
     u = _similarity_for(cfg, pt.list_size)
     p0, _, x = _point_setup(pt, u)
     result = _cars_from(cfg, *_myopic(pt, u, p0, x))
 
-    rows = [
-        (
-            i,
-            result.cost_trace[i],
-            result.virtual_cost_trace[i],
-            result.residual_trace[i],
-            result.lambda_norm_trace[i],
-        )
-        for i in range(len(result.cost_trace))
-    ]
+    rows = [(i, *entry) for i, entry in enumerate(result.trace)]
     if dest is None and cfg.output_dir:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         dest = Path(cfg.output_dir) / "trace.csv"

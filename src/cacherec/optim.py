@@ -41,7 +41,8 @@ The true cost of each iterate comes from `markov.stationary`.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .qp import MAXITER, _project_capped, solve_qp
 __all__ = [
     "OptimInputs",
     "CarsConfig",
+    "CarsIterate",
     "CarsResult",
     "InfeasibleQualityError",
     "top_n_similarity",
@@ -75,8 +77,10 @@ __all__ = [
 _log = logging.getLogger("cacherec")
 
 # Budget of the recommendation step: sweeps of the row block descent, and
-# Newton steps on one row's floor multiplier.
+# Newton steps on one row's floor multiplier. The descent stops after the
+# first sweep that moves no entry of ``s = Y^T pi`` by more than _Y_STOP.
 _Y_SWEEPS = 4
+_Y_STOP = 1e-9
 _ROW_NEWTON_STEPS = 16
 # Step cap of one myopic row LP's breakpoint walk. A step that does not
 # stop moves a bracket end to a selection whose quality lies strictly
@@ -98,10 +102,10 @@ class OptimInputs:
     `quality` may be a scalar (uniform floor) or a per-row vector; it is
     stored as a vector. Construction selects each row's N most similar
     items once, the diagonal excluded and ties toward the lowest index (a
-    stable sort of the negated row), for `max_quality`, `top_n_similarity`
-    and the recommendation step's floor repair, and verifies that every
-    row can reach its floor: the best attainable row quality is the mean
-    of the similarities of that selection.
+    stable sort of the negated row), for `max_quality` and
+    `top_n_similarity`, and verifies that every row can reach its floor:
+    the best attainable row quality is the mean of the similarities of
+    that selection.
     """
 
     similarity: SimilarityMatrix
@@ -546,57 +550,15 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
     return (1.0 - gamma) * y_lo + gamma * y_hi, sg_lo + gamma * (sg_hi - sg_lo)
 
 
-def _y_block_descent(y, s, pv, s_star, u, qv, cap, tol=1e-9):
-    """Exact cyclic minimization of the recommendation subproblem.
-
-    The penalized objective is ``(a^2 rho / 2) ||Y^T pi - s_star||^2``: it
-    depends on Y only through ``s = Y^T pi``. With the other rows held
-    fixed, row i therefore solves a Euclidean projection of
-    ``(s_star - s) / pi_i + y_i`` onto its own polytope, which
-    `_quality_row_prox` computes exactly, over the row's candidates only:
-    the entries with ``u_ij > 0`` or a target above the cut, the target's
-    N-th largest off-diagonal entry minus ``1/N``. Since ``u >= 0``, every
-    other entry stays at or below the projection's shift at any floor
-    multiplier and gets no mass. A row whose candidates carry two
-    similarity values (every row of a 0/1 matrix) and whose floor binds
-    is two capped projections, one per value, their totals fixed by the
-    floor; the rest search the floor multiplier by Newton steps (see
-    `_quality_row_prox`). `s` enters as ``y^T pv`` and moves in place by
-    ``pi_i`` times each row's change. Rows are visited in order of
-    decreasing stationary mass; rows with vanishing mass do not move the
-    objective and keep their starting values. Sweeps stop once no entry
-    moves by more than `tol`, or after `_Y_SWEEPS` sweeps with a warning
-    that also reports the last sweep's largest change of ``s``. Updates
-    `y` in place and returns it.
-    """
-    k = pv.size
-    eps_pv = 1e-12 * float(pv.max(initial=0.0))
-    rows = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
-    upper = np.full(k, cap)
-    sigma = np.zeros(k)
-    delta = 0.0
-    for _ in range(_Y_SWEEPS):
-        delta = 0.0
-        s_start = s.copy()
-        for i in rows:
-            p_i = pv[i]
-            upper[i] = 0.0
-            row, sigma[i] = _quality_row_prox(
-                (s_star - s) / p_i + y[i], u[i], qv[i], upper, sigma[i]
-            )
-            upper[i] = cap
-            step = row - y[i]
-            delta = max(delta, float(np.abs(step).max()))
-            s += p_i * step
-            y[i] = row
-        if delta <= tol:
-            return y
-    _log.warning(
-        "recommendation step: block descent stopped after %d sweeps, "
-        "largest entry change %.3e > %.1e, largest change of Y^T pi in the "
-        "last sweep %.3e", _Y_SWEEPS, delta, tol, float(np.abs(s - s_start).max()),
-    )
-    return y
+def _check_floors(y, inputs: OptimInputs, what: str) -> None:
+    """Raise `InfeasibleQualityError` naming the first row of `y` that lies
+    more than 1e-6 below its quality floor."""
+    got = quality_of(y, inputs.similarity)
+    short = np.flatnonzero(got < inputs.quality - 1e-6)
+    if short.size:
+        i = int(short[0])
+        raise InfeasibleQualityError(f"row {i}: {what} has quality {got[i]:.6f} "
+                                     f"below its floor {inputs.quality[i]}")
 
 
 def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
@@ -605,10 +567,24 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     With pi fixed the penalized objective is ``(a^2 rho / 2)
     ||Y^T pi - s_star||^2`` with ``s_star = (lam + rho r) / (a rho)`` and
     ``r = pi - (1-a) p0``; the constraints act row-wise (row sums, box,
-    zero diagonal, per-row quality floors). `_y_block_descent` minimizes
-    it row by row from `y0` (default: the top-N similarity matrix), with
-    ``Y^T pi`` formed over the nonzeros of `y0`. When ``a^2 rho`` vanishes
-    the objective is constant and `y0` is returned.
+    zero diagonal, per-row quality floors). The objective depends on Y
+    only through ``s = Y^T pi``, so an exact cyclic descent minimizes it
+    row by row from `y0` (default: the top-N similarity matrix): with the
+    other rows held fixed, row i solves a Euclidean projection of
+    ``(s_star - s) / pi_i + y_i`` onto its own polytope, which
+    `_quality_row_prox` computes exactly over the row's candidates. `s` is
+    formed over the nonzeros of `y0` and moves in place by ``pi_i`` times
+    each row's change. Rows are visited in order of decreasing stationary
+    mass; rows with vanishing mass do not move the objective and keep
+    their starting values. Sweeps stop after the first that moves no
+    entry of `s` by more than `_Y_STOP`, or after `_Y_SWEEPS` sweeps with
+    a warning that reports the last sweep's largest change of `s`. When
+    ``a^2 rho`` vanishes the objective is constant and `y0` is returned.
+
+    Every visited row is an exact projection onto a set that meets its
+    floor and every other row keeps its start, so `y0` must meet every
+    floor: a row more than 1e-6 below its floor raises
+    `InfeasibleQualityError`.
     """
     pv = np.asarray(pi, dtype=float)
     u = np.asarray(inputs.similarity, dtype=float)
@@ -619,25 +595,35 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
     lv = np.asarray(lam, dtype=float)
 
     start = top_n_similarity(inputs) if y0 is None else y0
+    _check_floors(start, inputs, "the recommendation step's start")
     ym = np.asarray(start, dtype=float).copy()
     if a * a * rho > 0.0:
         s_star = (lv + rho * (pv - (1.0 - a) * p0)) / (a * rho)
         rows, cols, vals = _nonzeros(start)
         s = np.bincount(cols, weights=vals * pv[rows], minlength=pv.size)
-        ym = _y_block_descent(ym, s, pv, s_star, u, q, 1.0 / n)
-
-    # Restore any quality floor left marginally violated (a starting row the
-    # descent did not visit, or a blended row): blend toward the
-    # quality-maximal row, which lands exactly on the floor and stays inside
-    # the row polytope.
-    got = quality_of(ym, u)
-    short = np.flatnonzero(got < q - 1e-6)
-    if short.size:
-        g_top = inputs.max_quality()[short]
-        theta = ((q[short] - got[short]) / (g_top - got[short]))[:, None]
-        ym[short] *= 1.0 - theta
-        ym[short[:, None], inputs._top_n[short]] += theta / n
-
+        eps_pv = 1e-12 * float(pv.max(initial=0.0))
+        visit = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
+        cap = 1.0 / n
+        upper = np.full(pv.size, cap)
+        sigma = np.zeros(pv.size)
+        for _ in range(_Y_SWEEPS):
+            s_start = s.copy()
+            for i in visit:
+                p_i = pv[i]
+                upper[i] = 0.0
+                row, sigma[i] = _quality_row_prox(
+                    (s_star - s) / p_i + ym[i], u[i], q[i], upper, sigma[i]
+                )
+                upper[i] = cap
+                s += p_i * (row - ym[i])
+                ym[i] = row
+            moved = float(np.abs(s - s_start).max())
+            if moved <= _Y_STOP:
+                break
+        else:
+            _log.warning("recommendation step: block descent stopped after %d sweeps, "
+                         "largest change of Y^T pi in the last sweep %.3e > %.1e",
+                         _Y_SWEEPS, moved, _Y_STOP)
     return RecMatrix(ym, n)
 
 
@@ -672,9 +658,18 @@ class CarsConfig:
             raise ValueError("multiplier_step must be a finite number > 0")
 
 
+class CarsIterate(NamedTuple):
+    """One trace entry of the alternating solver."""
+
+    actual_cost: float  # true cost, at the matrix's stationary distribution
+    virtual_cost: float  # cost at the auxiliary distribution
+    residual_sq: float  # squared norm of the stationarity residual
+    lambda_norm: float  # norm of the multiplier
+
+
 @dataclass
 class CarsResult:
-    """Outcome of the alternating solver, with full per-iteration traces.
+    """Outcome of the alternating solver, with its full trace.
 
     Trace entry 0 describes the starting matrix; entry i the i-th
     iteration. `best_y` is the minimum-true-cost iterate (earliest tie).
@@ -682,14 +677,14 @@ class CarsResult:
 
     best_y: RecMatrix
     best_cost: float
-    cost_trace: list
-    residual_trace: list
-    iterations: int
+    trace: list[CarsIterate]
     converged: bool
-    virtual_cost_trace: list = field(default_factory=list)
-    lambda_norm_trace: list = field(default_factory=list)
     best_index: int = 0
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
 
 
 def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult:
@@ -704,7 +699,9 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     auxiliary distribution only converges to it as the residual vanishes).
     Terminates when the squared residual norm drops to 1e-6 and the
     true-cost change to 1e-5, or after `max_iter` iterations; returns the
-    minimum-cost iterate.
+    minimum-cost iterate. The warm start `cfg.y0` must have the model's
+    list size (else `ValueError`) and meet every quality floor (else
+    `InfeasibleQualityError`), as every later iterate does.
     """
     cfg = cfg or CarsConfig()
     m = inputs.model
@@ -713,14 +710,14 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
     y = cfg.y0 if cfg.y0 is not None else top_n_similarity(inputs)
     if not isinstance(y, RecMatrix):
         y = RecMatrix(np.asarray(y, dtype=float), m.list_size)
+    if y.list_size != m.list_size:
+        raise ValueError(f"warm start has list size {y.list_size}, the model {m.list_size}")
+    _check_floors(y, inputs, "the warm start")
     lam = np.zeros(inputs.size)
 
     pi_exact = stationary(y, m)
     cost0 = expected_cost(pi_exact, x)
-    cost_trace = [cost0]
-    residual_trace = [0.0]
-    virtual_trace = [cost0]
-    lambda_trace = [0.0]
+    trace = [CarsIterate(cost0, cost0, 0.0, 0.0)]
     best_y, best_cost, best_idx = y, cost0, 0
     pi_warm = np.asarray(pi_exact, dtype=float)
     converged = False
@@ -740,11 +737,9 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
         lam = lam + cfg.multiplier_step * _RHO * c
         cost_i = expected_cost(stationary(y_next, m), x)
         eps1 = float(c @ c)
-        eps2 = abs(cost_i - cost_trace[-1])
-        cost_trace.append(cost_i)
-        residual_trace.append(eps1)
-        virtual_trace.append(float(np.asarray(pi_i) @ x))
-        lambda_trace.append(float(np.linalg.norm(lam)))
+        eps2 = abs(cost_i - trace[-1].actual_cost)
+        trace.append(CarsIterate(cost_i, float(np.asarray(pi_i) @ x), eps1,
+                                 float(np.linalg.norm(lam))))
         if cost_i < best_cost:
             best_y, best_cost, best_idx = y_next, cost_i, i
         y = y_next
@@ -753,15 +748,5 @@ def cars_solve(inputs: OptimInputs, cfg: CarsConfig | None = None) -> CarsResult
             converged = True
             break
 
-    return CarsResult(
-        best_y=best_y,
-        best_cost=best_cost,
-        cost_trace=cost_trace,
-        residual_trace=residual_trace,
-        iterations=len(cost_trace) - 1,
-        converged=converged,
-        virtual_cost_trace=virtual_trace,
-        lambda_norm_trace=lambda_trace,
-        best_index=best_idx,
-        message=message,
-    )
+    return CarsResult(best_y=best_y, best_cost=best_cost, trace=trace, converged=converged,
+                      best_index=best_idx, message=message)

@@ -216,7 +216,7 @@ def test_criterion_04_convergence_settles_within_ten_iterations():
     wall = time.perf_counter() - t0
     assert res.message == ""
     _register("criterion4 cars", res.best_y, u, 0.8)
-    trace = np.asarray(res.cost_trace, dtype=float)
+    trace = np.asarray([it.actual_cost for it in res.trace], dtype=float)
     late_improvement = max(0.0, float(trace[:11].min() - trace.min()))
     ok = late_improvement <= 1e-5 and wall < 600.0
     _report(4, ok,

@@ -314,6 +314,24 @@ class TestTraceCommand:
         assert records[0] == list(TRACE_COLUMNS)
         assert len(records) >= 2
 
+    def test_unconverged_trace_exits_zero_with_every_iterate(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # only a failed solve exits 2; one stopped at its iteration cap
+        # is a complete trace
+        results = []
+        real = experiments.cars_solve
+        monkeypatch.setattr(experiments, "cars_solve",
+                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
+        cfg = trace_scenario(tmp_path, cars={"max_iter": 2})
+        rc = cli.main(["trace", "--config", str(cfg)])
+        assert rc == 0
+        records = list(csv.reader(capsys.readouterr().out.splitlines()))
+        [res] = results
+        assert not res.converged and res.iterations == 2
+        assert records[0] == list(TRACE_COLUMNS)
+        assert [r[0] for r in records[1:]] == ["0", "1", "2"]
+        assert [float(v) for v in records[-1][1:]] == list(res.trace[-1])
+
     def test_trace_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         fake = types.SimpleNamespace(message="subproblem failed at iteration 1")
         monkeypatch.setattr(experiments, "cars_solve", lambda *a, **k: fake)

@@ -469,8 +469,11 @@ class TestLoaders:
         ("1,10#,4.0,0", "line 2: "),
         ("\u0661,10,4.0,0", [1]),
         ("\u0761,10,4.0,0", "line 2: "),
+        ("\x1c1,10,4.0,5", "line 2: "),
+        ("1,10,4.0\x1f,5", "line 2: "),
     ], ids=["underscore", "20-digit-id", "quoted-comma", "quoted-newline", "hash-unused",
-            "hash-in-id", "arabic-indic-digit", "non-ascii-letter"])
+            "hash-in-id", "arabic-indic-digit", "non-ascii-letter", "file-separator",
+            "unit-separator"])
     def test_odd_rows_read_as_the_row_reader_reads_them(self, tmp_path, row, expected):
         path = write_ratings(tmp_path / "ratings.csv",
                              f"userId,movieId,rating,timestamp\n{row}\n")

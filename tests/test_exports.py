@@ -19,10 +19,11 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(cacherec.__path__))
 
 # The public surface, spelled out so that any change to it shows as a diff here.
 PUBLIC_NAMES = [
-    "CANONICAL_POLICIES", "CachePlacement", "CarsConfig", "CarsResult", "ConfigError",
-    "CostVector", "InfeasibleQualityError", "MAXITER", "OPTIMAL", "OptimInputs",
-    "PopularityVector", "QpSolution", "RESULT_COLUMNS", "RatingsTable", "RecMatrix",
-    "RequestModel", "SCHEMA_VERSION", "ScenarioConfig", "SessionConfig", "SimMetrics",
+    "CANONICAL_POLICIES", "CachePlacement", "CarsConfig", "CarsIterate", "CarsResult",
+    "ConfigError", "CostVector", "InfeasibleQualityError", "MAXITER", "OPTIMAL",
+    "OptimInputs", "PopularityVector", "QpSolution", "RESULT_COLUMNS", "RatingsTable",
+    "RecMatrix", "RequestModel", "SCHEMA_VERSION", "ScenarioConfig", "SessionConfig",
+    "SimMetrics",
     "SimilarityMatrix", "StationaryVector", "TRACE_COLUMNS", "Violation", "__version__",
     "anchored_similarity", "binarize", "build_grid", "cache_hit_ratio", "cars_pi_step",
     "cars_solve", "cars_y_step", "cf_fill", "cosine_similarity", "emit_convergence_trace",

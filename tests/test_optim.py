@@ -10,6 +10,7 @@ from scipy.optimize import linprog, minimize
 
 from cacherec import (
     CarsConfig,
+    CarsIterate,
     InfeasibleQualityError,
     OptimInputs,
     RecMatrix,
@@ -651,6 +652,38 @@ def binding_instance(rng, k, n):
     return OptimInputs(probe.similarity, probe.model, probe.cost, floor)
 
 
+def record_row_visits(monkeypatch):
+    """Record each row the recommendation step's descent visits, with the
+    row it returns; the visited row is the one whose cap is zeroed."""
+    real = optim._quality_row_prox
+    visits = []
+
+    def prox(w, u_row, q_floor, upper, sigma0=0.0):
+        out = real(w, u_row, q_floor, upper, sigma0)
+        visits.append((int(np.flatnonzero(upper == 0.0)[0]), out[0]))
+        return out
+
+    monkeypatch.setattr(optim, "_quality_row_prox", prox)
+    return visits
+
+
+def sweep_changes(visits, y0, pi):
+    """Largest change of ``s = Y^T pi`` and of an entry of Y in each sweep
+    of recorded row visits from `y0`; every sweep visits the rows of
+    positive `pi`."""
+    per_sweep = int(np.count_nonzero(pi > 0.0))
+    assert len(visits) % per_sweep == 0
+    y = np.array(y0, dtype=float)
+    s_moves, y_moves = [], []
+    for start in range(0, len(visits), per_sweep):
+        before = y.copy()
+        for i, row in visits[start:start + per_sweep]:
+            y[i] = row
+        s_moves.append(float(np.abs((y - before).T @ pi).max()))
+        y_moves.append(float(np.abs(y - before).max()))
+    return s_moves, y_moves
+
+
 def row_blocks(w):
     """K x K^2 matrix whose row i applies ``w[i]`` to row i of a flattened Y."""
     k = w.shape[0]
@@ -1061,10 +1094,9 @@ class TestCarsYStep:
             assert validate_rec_matrix(y, 1e-9) == [], trial
             assert np.all(quality_of(y, inp.similarity) >= inp.quality - 1e-6), trial
 
-    def test_floor_repair_blends_an_unvisited_short_row_toward_top_n(self):
+    def test_start_below_a_floor_is_rejected(self):
         # row i starts below its floor and has no stationary mass, so the
-        # descent skips it; the repair then blends it toward its top-N row
-        # just far enough to land on the floor
+        # descent would skip it and return it short: the start is rejected
         rng = np.random.default_rng(26)
         for trial in range(6):
             k = int(rng.integers(5, 12))
@@ -1075,20 +1107,29 @@ class TestCarsYStep:
             y0 = np.array(top_n_similarity(inp))
             y0[i] = 0.0
             y0[i, np.argsort(u[i] + np.eye(k)[i], kind="stable")[:n]] = 1.0 / n
-            g0 = float(u[i] @ y0[i])
-            assert g0 < q[i] - 1e-6, trial
+            assert float(u[i] @ y0[i]) < q[i] - 1e-6, trial
             pi = rng.uniform(0.2, 1.0, k)
             pi[i] = 0.0
             pi /= pi.sum()
-            y = np.asarray(cars_y_step(pi, rng.normal(0.0, 0.5, k), 1.0, inp,
-                                       RecMatrix(y0, n)))
-            assert validate_rec_matrix(y, 1e-9, n) == [], trial
-            assert np.all(quality_of(y, u) >= q - 1e-9), trial
-            top = np.asarray(top_n_similarity(inp))[i]
-            theta = (q[i] - g0) / (float(u[i] @ top) - g0)
-            assert 0.0 < theta < 1.0, trial
-            assert np.abs(y[i] - ((1.0 - theta) * y0[i] + theta * top)).max() <= 1e-12, trial
-            assert abs(float(u[i] @ y[i]) - q[i]) <= 1e-9, trial
+            with pytest.raises(InfeasibleQualityError, match=rf"^row {i}: .* below its floor"):
+                cars_y_step(pi, rng.normal(0.0, 0.5, k), 1.0, inp, RecMatrix(y0, n))
+
+    def test_descent_stops_on_the_change_of_s(self, monkeypatch):
+        # Y moves by more than the stop tolerance in the last sweep, s does
+        # not: the descent stops on s = Y^T pi, after the first sweep that
+        # leaves it within _Y_STOP
+        monkeypatch.setattr(optim, "_Y_SWEEPS", 60)
+        rng = np.random.default_rng(30)
+        inp = binding_instance(rng, 8, 2)
+        pi = rng.uniform(0.2, 1.0, 8)
+        pi /= pi.sum()
+        y0 = top_n_similarity(inp)
+        visits = record_row_visits(monkeypatch)
+        cars_y_step(pi, rng.normal(0.0, 0.5, 8), 2.0, inp, y0)
+        s_moves, y_moves = sweep_changes(visits, np.asarray(y0), pi)
+        assert len(s_moves) < 60
+        assert all(d > optim._Y_STOP for d in s_moves[:-1])
+        assert s_moves[-1] <= optim._Y_STOP < y_moves[-1]
 
     def test_single_support_matches_reduced_problem(self):
         rng = np.random.default_rng(10)
@@ -1149,7 +1190,7 @@ class TestSolverWarnings:
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "stationary step" in caplog.records[0].getMessage()
 
-    def test_y_step_warns_only_at_sweep_cap(self, caplog):
+    def test_y_step_warns_only_at_sweep_cap(self, caplog, monkeypatch):
         rng = np.random.default_rng(20)
         inp = binding_instance(rng, 8, 2)
         lam = rng.normal(0.0, 0.5, 8)
@@ -1159,15 +1200,21 @@ class TestSolverWarnings:
             cars_y_step(single, lam, 2.0, inp)
         assert caplog.records == []
         full = rng.uniform(0.2, 1.0, 8)
+        pi = full / full.sum()
+        visits = record_row_visits(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="cacherec"):
-            cars_y_step(full / full.sum(), lam, 2.0, inp)
+            cars_y_step(pi, lam, 2.0, inp)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         msg = caplog.records[0].getMessage()
         assert "block descent stopped" in msg and "change of Y^T pi" in msg
-        # each row moves once per sweep, so no entry of s = Y^T pi moves by
-        # more than the largest entry change (pi sums to 1)
-        delta, s_change = caplog.records[0].args[1], caplog.records[0].args[3]
-        assert 0.0 < s_change <= delta * (1.0 + 1e-12)
+        # the warning reports the last sweep's change of s = Y^T pi, the
+        # measure its stop rule tests
+        s_moves, _ = sweep_changes(visits, np.asarray(top_n_similarity(inp)), pi)
+        assert len(s_moves) == optim._Y_SWEEPS
+        sweeps, s_change, stop = caplog.records[0].args
+        assert (sweeps, stop) == (optim._Y_SWEEPS, optim._Y_STOP)
+        assert s_change > stop
+        assert s_change == pytest.approx(s_moves[-1], rel=1e-9, abs=1e-15)
 
     def test_row_newton_search_at_step_cap_warns(self, caplog, monkeypatch):
         rng = np.random.default_rng(28)
@@ -1229,9 +1276,8 @@ class TestCarsSolve:
             res = cars_solve(inp, CarsConfig(y0=y0))
             pi0 = stationary_direct(y0, inp.model)
             assert res.best_cost <= expected_cost(pi0, inp.cost) + 1e-12
-            assert res.best_cost == pytest.approx(min(res.cost_trace))
-            assert np.all(np.isfinite(res.cost_trace))
-            assert np.all(np.isfinite(res.residual_trace))
+            assert res.best_cost == pytest.approx(min(it.actual_cost for it in res.trace))
+            assert np.all(np.isfinite(res.trace))
 
     def test_output_constraints_and_traces(self):
         rng = np.random.default_rng(14)
@@ -1239,12 +1285,12 @@ class TestCarsSolve:
         res = cars_solve(inp, CarsConfig(max_iter=8))
         assert validate_rec_matrix(res.best_y, 1e-5) == []
         assert np.all(quality_of(res.best_y, inp.similarity) >= inp.quality - 1e-5)
-        assert len(res.cost_trace) == res.iterations + 1
-        assert len(res.residual_trace) == len(res.cost_trace)
-        assert len(res.virtual_cost_trace) == len(res.cost_trace)
-        assert len(res.lambda_norm_trace) == len(res.cost_trace)
-        assert res.best_index == int(np.argmin(res.cost_trace))
-        assert res.best_cost == pytest.approx(res.cost_trace[res.best_index])
+        assert all(isinstance(it, CarsIterate) for it in res.trace)
+        assert res.iterations == len(res.trace) - 1 >= 1
+        assert res.trace[0].residual_sq == res.trace[0].lambda_norm == 0.0
+        costs = [it.actual_cost for it in res.trace]
+        assert res.best_index == int(np.argmin(costs))
+        assert res.best_cost == pytest.approx(costs[res.best_index])
 
     def test_best_cost_matches_lu_where_the_fixed_point_runs(self, monkeypatch):
         # K=400 with about N nonzeros per row: every stationary solve in
@@ -1276,7 +1322,7 @@ class TestCarsSolve:
         rng = np.random.default_rng(15)
         inp = make_inputs(4, 1, rng, q=0.0)
         res = cars_solve(inp, CarsConfig(multiplier_step=1.0, max_iter=6))
-        assert np.all(np.isfinite(res.cost_trace))
+        assert np.all(np.isfinite(res.trace))
 
     def test_rejects_bad_config(self):
         for caps in ({"max_iter": 0}, {"max_iter": 2.5},
@@ -1299,8 +1345,44 @@ class TestCarsSolve:
         assert res.message == "subproblem failed at iteration 2: forced step failure"
         assert not res.converged
         assert res.iterations == 1
-        assert len(res.cost_trace) == len(res.residual_trace) == 2
-        assert res.best_index == int(np.argmin(res.cost_trace))
+        assert len(res.trace) == 2
+        assert res.best_index == int(np.argmin([it.actual_cost for it in res.trace]))
         earlier = [y0, y_step_fails_at_iteration_2[0]][res.best_index]
         assert res.best_y is earlier
-        assert res.best_cost == res.cost_trace[res.best_index]
+        assert res.best_cost == res.trace[res.best_index].actual_cost
+
+    @staticmethod
+    def _k60_inputs():
+        k = 60
+        p0 = zipf_popularity(k, 0.8)
+        x = np.ones(k)
+        x[sorted(top_c_cache(p0, 5).cached)] = 0.0
+        u = anchored_similarity(k, 8.0, 5, seed=3)
+        return OptimInputs(u, RequestModel(p0, 0.8, 4), x, 0.8)
+
+    def test_warm_start_below_the_floors_is_rejected(self):
+        # 1/4 on each row's first four other indices: most rows' quality
+        # is far below 0.8, and a solve from there would return it as best
+        inp = self._k60_inputs()
+        k = inp.size
+        y0 = np.zeros((k, k))
+        for i in range(k):
+            y0[i, [j for j in range(5) if j != i][:4]] = 0.25
+        short = np.flatnonzero(quality_of(y0, inp.similarity) < 0.8 - 1e-6)
+        assert short.size > 0
+        with pytest.raises(InfeasibleQualityError,
+                           match=rf"^row {short[0]}: the warm start has quality"):
+            cars_solve(inp, CarsConfig(y0=RecMatrix(y0, 4)))
+
+    def test_warm_start_of_another_list_size_is_rejected(self):
+        # 1/2 on two related items per row meets every floor of 0.5, but
+        # its entries exceed the model's cap 1/4
+        base = self._k60_inputs()
+        inp = OptimInputs(base.similarity, base.model, base.cost, 0.5)
+        u = np.asarray(inp.similarity)
+        y0 = np.zeros_like(u)
+        for i in range(inp.size):
+            y0[i, np.flatnonzero(u[i] > 0.0)[:2]] = 0.5
+        assert np.all(quality_of(y0, u) >= 0.5)
+        with pytest.raises(ValueError, match="warm start has list size 2, the model 4"):
+            cars_solve(inp, CarsConfig(y0=RecMatrix(y0, 2)))
