@@ -251,7 +251,8 @@ def _row_seed(cfg: ScenarioConfig, grid_index: int, policy: str) -> int:
 
 
 def _blank_row(cfg: ScenarioConfig, pt: _GridPoint, policy: str) -> dict:
-    return {
+    """The results row of `policy` at `pt`, with its measured columns unset."""
+    return dict.fromkeys(RESULT_COLUMNS) | {
         "schema_version": SCHEMA_VERSION,
         "grid_index": pt.index,
         "policy": policy,
@@ -260,14 +261,6 @@ def _blank_row(cfg: ScenarioConfig, pt: _GridPoint, policy: str) -> dict:
         "quality_floor": pt.quality,
         "cache_fraction": pt.cache_fraction,
         "follow_prob": pt.follow_prob,
-        "catalog_size": None,
-        "cache_size": None,
-        "analytic_chr": None,
-        "empirical_chr": None,
-        "mean_quality": None,
-        "iterations": None,
-        "converged": None,
-        "wall_millis": None,
         "seed": _row_seed(cfg, pt.index, policy),
         "error": "",
     }

@@ -45,7 +45,7 @@ def _chain(y, m: RequestModel):
     """``v -> P v`` and ``v -> P^T v`` for ``P = a Y + (1-a) 1 p0^T``.
 
     Both apply Y through its nonzeros, in O(nnz + K) each; a RecMatrix
-    takes them once, for every caller.
+    holds them from its construction, for every caller.
     """
     rows, cols, vals = _nonzeros(y)
     p0 = np.asarray(m.popularity, dtype=float)

@@ -133,7 +133,7 @@ class CostVector(_ArrayWrapper):
 class Violation:
     """One failed recommendation-matrix invariant, with its location."""
 
-    kind: str  # one of: shape, diagonal, box, row_sum, negative
+    kind: str  # one of: shape, nonfinite, diagonal, box, negative, row_sum
     row: int | None
     col: int | None
     magnitude: float
@@ -146,7 +146,10 @@ class Violation:
 
 
 def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
-    """Check the recommendation-matrix invariants, returning violations.
+    """Check that `y` lies in the recommendation polytope, returning violations.
+
+    The polytope of list size N holds the K x K matrices whose rows sum
+    to 1, whose entries lie in [0, 1/N] and whose diagonal is zero.
 
     Parameters
     ----------
@@ -160,9 +163,10 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
     Returns
     -------
     list of Violation
-        Empty iff `y` is row-stochastic with entries in [0, 1/N] and a
-        zero diagonal, all within `tol`. Each entry names the offending
-        row/column and the magnitude of the breach.
+        Empty iff `y` is square and finite and lies in the polytope within
+        `tol`. Each entry names the offending row/column and the magnitude
+        of the breach; a non-finite entry is a ``nonfinite`` violation of
+        magnitude ``inf``.
     """
     if isinstance(y, RecMatrix):
         n = y.list_size
@@ -172,31 +176,21 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
             raise ValueError("list_size is required when y is a bare array")
         n = int(list_size)
         v = np.asarray(y, dtype=float)
-
-    out: list[Violation] = []
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        out.append(Violation("shape", None, None, 0.0))
-        return out
-    k = v.shape[0]
-    cap = 1.0 / n
+        return [Violation("shape", None, None, 0.0)]
 
-    diag = np.abs(np.diag(v))
-    for i in np.flatnonzero(diag > tol):
-        out.append(Violation("diagonal", int(i), int(i), float(diag[i])))
-
-    # Whole-array reductions clear a feasible matrix without K x K
-    # temporaries; the entrywise scans run only where a check fails (a
-    # NaN fails it too, and the scans then report what they find).
-    if not v.max(initial=-np.inf) - cap <= tol:
-        over = v - cap
-        for i, j in zip(*np.nonzero(over > tol)):
-            out.append(Violation("box", int(i), int(j), float(over[i, j])))
-
-    if not -v.min(initial=np.inf) <= tol:
-        neg = -v
-        for i, j in zip(*np.nonzero(neg > tol)):
-            out.append(Violation("negative", int(i), int(j), float(neg[i, j])))
-
+    # A zero entry passes every entrywise check, and a NaN is a nonzero, so
+    # the checks run over Y's nonzeros alone.
+    rows, cols, vals = _nonzeros(y)
+    over = vals - 1.0 / n
+    checks = (
+        ("nonfinite", ~np.isfinite(vals), np.full(vals.shape, np.inf)),
+        ("diagonal", (rows == cols) & (np.abs(vals) > tol), np.abs(vals)),
+        ("box", over > tol, over),
+        ("negative", -vals > tol, -vals),
+    )
+    out = [Violation(kind, int(rows[t]), int(cols[t]), float(mag[t]))
+           for kind, hit, mag in checks for t in np.flatnonzero(hit)]
     row_err = np.abs(v.sum(axis=1) - 1.0)
     for i in np.flatnonzero(row_err > tol):
         out.append(Violation("row_sum", int(i), None, float(row_err[i])))
@@ -218,9 +212,8 @@ class RecMatrix(_ArrayWrapper):
     def __post_init__(self):
         if self.list_size < 1:
             raise ValueError("list size must be >= 1")
-        v = _freeze(self.values)
-        object.__setattr__(self, "values", v)
-        bad = validate_rec_matrix(v, _REC_TOL, self.list_size)
+        object.__setattr__(self, "values", _freeze(self.values))
+        bad = validate_rec_matrix(self, _REC_TOL)
         if bad:
             head = "; ".join(str(b) for b in bad[:5])
             raise ValueError(
@@ -230,7 +223,8 @@ class RecMatrix(_ArrayWrapper):
     @cached_property
     def nonzeros(self):
         """Row indices, column indices and values of the nonzero entries,
-        in row-major order, taken on first use and kept (read-only)."""
+        in row-major order, read-only; taken once, by the validation at
+        construction."""
         out = _nonzeros(self.values)
         for a in out:
             a.flags.writeable = False
@@ -239,7 +233,8 @@ class RecMatrix(_ArrayWrapper):
 
 def _nonzeros(y):
     """Row indices, column indices and values of a square matrix's nonzero
-    entries, in row-major order; a RecMatrix's own are taken only once."""
+    entries, in row-major order; a RecMatrix's are those it took at
+    construction."""
     if isinstance(y, RecMatrix):
         return y.nonzeros
     v = np.asarray(y, dtype=float)

@@ -384,13 +384,14 @@ def cars_pi_step(
     return StationaryVector(sol.point)
 
 
-def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
-    """Exact Euclidean projection of ``w`` onto one row's feasible set
-    ``{y : sum y = 1, 0 <= y <= upper, u_row . y >= q_floor}``.
+def _quality_row_prox(w, u_row, q_floor, n, i, sigma0=0.0):
+    """Exact Euclidean projection of ``w`` onto row `i`'s feasible set
+    ``{y : sum y = 1, 0 <= y <= c, y_i = 0, u_row . y >= q_floor}``, where
+    ``c = 1/N`` is the cap of list size ``N = n``.
 
     This is the row solver of the recommendation step. When the plain
     sum/box projection misses the floor, the KKT conditions give
-    ``y = clip(w + sigma u_row - tau, 0, upper)`` for the floor multiplier
+    ``y = clip(w + sigma u_row - tau, 0, c)`` for the floor multiplier
     ``sigma > 0`` at which the floor holds with equality.
 
     Two-valued rows are solved in closed form. Let the candidates'
@@ -431,28 +432,27 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
     first Newton point. Returns the row and its floor multiplier.
 
     Every projection runs on the candidates alone, the entries that can
-    carry mass at any ``sigma``: with ``c`` the smallest positive cap,
-    ``m = ceil(1/c)`` and ``w_(m)`` the m-th largest ``w`` among entries
-    with a positive cap, they are those with a positive cap and
+    carry mass at any ``sigma``. Let ``m`` be the fewest entries whose
+    caps hold the row's mass: N, or N + 1 where ``c`` is 1/N rounded down
+    (``N c < 1``, first at N = 49). With ``w_(m)`` the m-th largest ``w``
+    off index i, the candidates are the entries ``j != i`` with
     ``w_j > w_(m) - c`` or ``u_j > 0``. Since ``u_row >= 0``, shifting by
     ``sigma u_row`` cannot lower the m-th largest entry, so the shift of
     ``proj`` is at least ``w_(m) - c`` and every other entry, left at
-    ``w_j`` by the shift, gets no mass. The Y-step's rows have ``m = N``
-    and about as many candidates as ``u_row`` has nonzeros.
+    ``w_j`` by the shift, gets no mass. A row thus has about as many
+    candidates as ``u_row`` has nonzeros.
     """
     k = w.size
-    live = upper > 0.0
-    c = float(upper[live].min())
-    m = int(np.ceil(1.0 / c))
-    if m * c < 1.0:  # 1/c rounded down
-        m += 1
+    c = 1.0 / n
+    m = n + 1 if n * c < 1.0 else n
+    live = np.arange(k) != i
     w_live = w[live]
+    cut = -np.inf
     if m < w_live.size:
         cut = float(np.partition(w_live, w_live.size - m)[w_live.size - m]) - c
-        keep = np.flatnonzero(live & ((w > cut) | (u_row > 0.0)))
-    else:
-        keep = np.flatnonzero(live)
-    wc, uc, cap = w[keep], u_row[keep], upper[keep]
+    keep = np.flatnonzero(live & ((w > cut) | (u_row > 0.0)))
+    wc, uc = w[keep], u_row[keep]
+    cap = np.full(keep.size, c)
 
     def full(yc):
         y = np.zeros(k)
@@ -495,7 +495,7 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         uf = uc[f]
         return max(float(uf @ uf) - float(uf.sum()) ** 2 / nf, 0.0)
 
-    spread = float(np.ptp(w)) + float(upper.max()) + 1.0
+    spread = float(np.ptp(w)) + c + 1.0
     land = 1e-12 * max(1.0, abs(q_floor))
     sg_lo, sg_hi = 0.0, None
     y_lo, y_hi = y, None
@@ -530,7 +530,9 @@ def _quality_row_prox(w, u_row, q_floor, upper, sigma0=0.0):
         sg_hi = sg
         y_hi = np.zeros_like(w)
         for j in np.argsort(-u_row):
-            give = min(upper[j], budget)
+            if j == i:
+                continue
+            give = min(c, budget)
             y_hi[j] = give
             budget -= give
             if budget <= 0.0:
@@ -603,18 +605,14 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
         s = np.bincount(cols, weights=vals * pv[rows], minlength=pv.size)
         eps_pv = 1e-12 * float(pv.max(initial=0.0))
         visit = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
-        cap = 1.0 / n
-        upper = np.full(pv.size, cap)
         sigma = np.zeros(pv.size)
         for _ in range(_Y_SWEEPS):
             s_start = s.copy()
             for i in visit:
                 p_i = pv[i]
-                upper[i] = 0.0
                 row, sigma[i] = _quality_row_prox(
-                    (s_star - s) / p_i + ym[i], u[i], q[i], upper, sigma[i]
+                    (s_star - s) / p_i + ym[i], u[i], q[i], n, i, sigma[i]
                 )
-                upper[i] = cap
                 s += p_i * (row - ym[i])
                 ym[i] = row
             moved = float(np.abs(s - s_start).max())

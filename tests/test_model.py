@@ -109,11 +109,13 @@ class TestValidateRecMatrix:
 
 
 def _reference_violations(v, tol, n):
-    """`validate_rec_matrix`'s entrywise scans alone, with no fast path."""
+    """`validate_rec_matrix`'s checks as scans over every entry of `v`."""
     out = []
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         return [Violation("shape", None, None, 0.0)]
     cap = 1.0 / n
+    for i, j in zip(*np.nonzero(~np.isfinite(v))):
+        out.append(Violation("nonfinite", int(i), int(j), np.inf))
     diag = np.abs(np.diag(v))
     for i in np.flatnonzero(diag > tol):
         out.append(Violation("diagonal", int(i), int(i), float(diag[i])))
@@ -140,7 +142,7 @@ class TestValidateRecMatrixFastPath:
 
     def test_matches_entrywise_scans(self):
         rng = np.random.default_rng(21)
-        kinds = ("diagonal", "box", "negative", "row_sum", "nan")
+        kinds = ("diagonal", "box", "negative", "row_sum", "nonfinite")
         seen = set()
         for trial in range(600):
             k = int(rng.integers(3, 12))
@@ -160,19 +162,24 @@ class TestValidateRecMatrixFastPath:
                 elif kind == "row_sum":
                     v[i] *= 1.0 + bump
                 else:
-                    v[i, j] = np.nan
+                    v[i, j] = rng.choice([np.nan, np.inf, -np.inf])
             got = validate_rec_matrix(v, tol, n)
             assert got == _reference_violations(v, tol, n), (trial, picked)
             seen.update(b.kind for b in got)
-            if "nan" in picked:
-                seen.add("nan")
-        assert seen == {"diagonal", "box", "negative", "row_sum", "nan"}
+        assert seen == set(kinds)
 
     def test_nan_does_not_hide_other_violations(self):
         v = np.array([[0.0, 1.0, np.nan], [2.0, 0.0, -1.0], [0.5, 0.5, 0.0]])
         got = validate_rec_matrix(v, 1e-6, 1)
         assert got == _reference_violations(v, 1e-6, 1)
-        assert [b.kind for b in got] == ["box", "negative"]
+        assert [b.kind for b in got] == ["nonfinite", "box", "negative"]
+
+    def test_nonfinite_entry_is_a_violation(self):
+        # every comparison with NaN is False, so no bound check can see it
+        v = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [np.nan, 0.5, 0.0]]
+        assert validate_rec_matrix(v, 1e-6, 2) == [Violation("nonfinite", 2, 0, np.inf)]
+        with pytest.raises(ValueError, match="nonfinite violation at row 2, col 0"):
+            RecMatrix(v, list_size=2)
 
     def test_shape_and_empty(self):
         assert validate_rec_matrix(np.zeros((2, 3)), 1e-6, 1) == [

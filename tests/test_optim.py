@@ -577,10 +577,10 @@ class TestCarsPiStep:
         y = RecMatrix(0.4 * np.asarray(top_n_similarity(inp))
                       + 0.6 * np.asarray(myopic_solve(inp)), 3)
         lam = rng.normal(0.0, 0.5, 40)
+        held = vars(y)["nonzeros"]  # taken at construction
         bare = cars_pi_step(np.array(y), lam, 1.0, inp, max_iter=200)
-        assert "nonzeros" not in vars(y)
         kept = cars_pi_step(y, lam, 1.0, inp, max_iter=200)
-        assert "nonzeros" in vars(y)
+        assert y.nonzeros is held
         assert np.asarray(kept).tobytes() == np.asarray(bare).tobytes()
         again = cars_pi_step(y, lam, 1.0, inp, max_iter=200)
         assert np.asarray(again).tobytes() == np.asarray(bare).tobytes()
@@ -654,13 +654,13 @@ def binding_instance(rng, k, n):
 
 def record_row_visits(monkeypatch):
     """Record each row the recommendation step's descent visits, with the
-    row it returns; the visited row is the one whose cap is zeroed."""
+    row it returns."""
     real = optim._quality_row_prox
     visits = []
 
-    def prox(w, u_row, q_floor, upper, sigma0=0.0):
-        out = real(w, u_row, q_floor, upper, sigma0)
-        visits.append((int(np.flatnonzero(upper == 0.0)[0]), out[0]))
+    def prox(w, u_row, q_floor, n, i, sigma0=0.0):
+        out = real(w, u_row, q_floor, n, i, sigma0)
+        visits.append((int(i), out[0]))
         return out
 
     monkeypatch.setattr(optim, "_quality_row_prox", prox)
@@ -739,14 +739,14 @@ class TestQualityRowProx:
             upper = np.full(k, 1.0 / n)
             upper[i] = 0.0
             w = rng.normal(0.0, 1.0, k)
-            plain, sigma = _quality_row_prox(w, u, 0.0, upper)
+            plain, sigma = _quality_row_prox(w, u, 0.0, n, i)
             assert sigma == 0.0
             best = float(np.sort(u)[::-1][:n].sum()) / n
             got = float(u @ plain)
             if best - got < 1e-6:
                 continue
             q = got + float(rng.uniform(0.1, 0.9)) * (best - got)
-            y, sigma = _quality_row_prox(w, u, q, upper)
+            y, sigma = _quality_row_prox(w, u, q, n, i)
             ref_obj, _ = qp_oracle(
                 c=-w, quad=np.eye(k), a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
                 g=u[None, :], h=np.array([q]), lower=np.zeros(k), upper=upper,
@@ -759,9 +759,11 @@ class TestQualityRowProx:
             assert float(u @ y) >= q - 1e-9
 
     @staticmethod
-    def _check_against_oracle(w, u, q, upper):
+    def _check_against_oracle(w, u, q, n, i):
         k = w.size
-        y, sigma = _quality_row_prox(w, u, q, upper)
+        upper = np.full(k, 1.0 / n)
+        upper[i] = 0.0
+        y, sigma = _quality_row_prox(w, u, q, n, i)
         ref_obj, _ = qp_oracle(
             c=-w, quad=np.eye(k), a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
             g=u[None, :], h=np.array([q]), lower=np.zeros(k), upper=upper,
@@ -784,18 +786,16 @@ class TestQualityRowProx:
             lo, hi = (0.0, 1.0) if trial % 2 else tuple(np.sort(rng.uniform(0.1, 0.9, 2)))
             u = np.where(rng.uniform(size=k) < 0.5, hi, lo)
             u[i] = 0.0
-            upper = np.full(k, 1.0 / n)
-            upper[i] = 0.0
             if trial % 4 < 2:
                 w = rng.normal(0.0, 1.0, k)
             else:  # few levels a cap apart: ties at the cut
                 w = rng.integers(-3, 3, k) / n
-            got = float(u @ _quality_row_prox(w, u, 0.0, upper)[0])
+            got = float(u @ _quality_row_prox(w, u, 0.0, n, i)[0])
             best = float(np.sort(u)[::-1][:n].sum()) / n
             if best - got < 1e-6:
                 continue
             q = got + float(rng.uniform(0.1, 1.0)) * (best - got)
-            y, sigma = self._check_against_oracle(w, u, q, upper)
+            y, sigma = self._check_against_oracle(w, u, q, n, i)
             assert sigma > 0.0, trial
             assert abs(float(u @ y) - q) <= 1e-12, trial
             checked += 1
@@ -803,29 +803,27 @@ class TestQualityRowProx:
         assert checked >= 12 and tied >= 4
 
     def test_two_valued_edge_floors_match_qp_oracle(self):
-        k, n = 7, 4
-        upper = np.full(k, 1.0 / n)
-        upper[0] = 0.0
+        n = 4
         w = np.array([0.0, 0.9, -0.2, 0.4, 0.6, 0.1, 0.3])
         # q = 1 with five related items: the alpha-block gets no mass
         u = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        y, sigma = self._check_against_oracle(w, u, 1.0, upper)
+        y, sigma = self._check_against_oracle(w, u, 1.0, n, 0)
         assert sigma > 0.0 and y[1] == 0.0
         # a floor at the beta-block's capacity: both related items at the cap
         u = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
-        y, sigma = self._check_against_oracle(w, u, 0.5, upper)
+        y, sigma = self._check_against_oracle(w, u, 0.5, n, 0)
         assert sigma > 0.0
         npt.assert_allclose(y[[2, 5]], 0.25, atol=1e-15)
         # no candidate at alpha: the alpha entries lie far below the cut,
         # so every candidate carries beta and the plain projection meets q
         u = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
         w_far = np.where(u > 0.0, w, -10.0)
-        y, sigma = self._check_against_oracle(w_far, u, 1.0, upper)
+        y, sigma = self._check_against_oracle(w_far, u, 1.0, n, 0)
         assert sigma == 0.0
         # alpha = 0.2 < beta = 0.7 with ties at the cut w_(4) - 1/4
         u = np.array([0.0, 0.2, 0.7, 0.2, 0.7, 0.2, 0.2])
         w_tied = np.array([0.0, 0.5, 0.25, 0.5, 0.0, 0.25, 0.5])
-        y, sigma = self._check_against_oracle(w_tied, u, 0.4, upper)
+        y, sigma = self._check_against_oracle(w_tied, u, 0.4, n, 0)
         assert sigma > 0.0 and abs(float(u @ y) - 0.4) <= 1e-12
 
     def test_binding_binary_row_needs_few_projections(self, monkeypatch):
@@ -846,12 +844,38 @@ class TestQualityRowProx:
             upper[i] = 0.0
             w = rng.normal(0.0, 1.0, k)
             calls.clear()
-            y, sigma = _quality_row_prox(w, u, 0.8, upper)
+            y, sigma = _quality_row_prox(w, u, 0.8, n, i)
             assert sigma > 0.0
             most = max(most, len(calls))
             ref, _ = _full_length_row_prox(w, u, 0.8, upper)
             assert np.abs(y - ref).max() <= 1e-12
         assert most <= 3
+
+    @pytest.mark.parametrize("n", [48, 49])
+    def test_caps_rounded_down_take_one_more_candidate(self, n):
+        # 49 is the first N with N fl(1/N) < 1: N entries at the cap then
+        # leave 1 - N c > 0 of the row's mass, so an entry lying exactly at
+        # the cut w_(N) - c must stay a candidate and carry a share. At
+        # N = 48 the caps hold the whole row and that entry gets nothing.
+        c = 1.0 / n
+        k = n + 3
+        i = k - 1
+        w = np.full(k, -3.0)
+        w[:n] = 0.0
+        w[n] = -c
+        u = np.zeros(k)
+        u[n + 1] = 1.0
+        y, sigma = _quality_row_prox(w, u, 0.0, n, i)
+        assert (y[n] > 0.0) == (n * c < 1.0)
+        assert sigma == 0.0 and y[i] == 0.0 and y.min() >= 0.0 and y.max() <= c
+        assert abs(float(y.sum()) - 1.0) <= 1e-15
+        # the QP is strictly convex and symmetric in the N tied entries, so
+        # they share one value, and the oracle solves for their total
+        ref_obj, _ = qp_oracle(
+            c=-w[n - 1:i], quad=np.diag([1.0 / n, 1.0, 1.0]), a_eq=np.ones((1, 3)),
+            b_eq=np.array([1.0]), lower=np.zeros(3), upper=np.array([n * c, c, c]),
+        )
+        assert abs(0.5 * float(y @ y) - float(w @ y) - ref_obj) <= 1e-12
 
     def test_roundoff_boundary_takes_no_search(self, caplog, monkeypatch):
         # targets spread over thousands carry errors near 1e-12, so a floor
@@ -878,7 +902,7 @@ class TestQualityRowProx:
             q = float(u @ plain) + float(rng.uniform(-2e-11, 2e-11))
             calls.clear()
             with caplog.at_level(logging.WARNING, logger="cacherec"):
-                y, sigma = _quality_row_prox(w, u, q, upper)
+                y, sigma = _quality_row_prox(w, u, q, n, 0)
             assert len(calls) <= 3
             assert float(u @ y) >= q - 1e-9 and abs(float(y.sum()) - 1.0) <= 1e-9
             assert np.abs(y - plain).max() <= 1e-9
@@ -968,7 +992,7 @@ def _y_step_row(rng, k, n, u_kind, w_kind):
         w = rng.normal(0.0, 1.0, k)
     else:  # few levels a cap apart: ties at the cut w_(N) - 1/N
         w = rng.integers(-3, 3, k) / n
-    return w, u, upper
+    return w, u, upper, i
 
 
 class TestRowProxCandidates:
@@ -979,7 +1003,7 @@ class TestRowProxCandidates:
         for k, rows in ((6, 800), (12, 800), (120, 800), (757, 300)):
             for _ in range(rows):
                 n = int(rng.integers(1, min(6, k - 1) + 1))
-                w, u, upper = _y_step_row(
+                w, u, upper, i = _y_step_row(
                     rng, k, n,
                     rng.choice(["sparse", "continuous", "levels", "binary", "two-level"]),
                     rng.choice(["normal", "levels"]),
@@ -992,7 +1016,7 @@ class TestRowProxCandidates:
                     q = plain * float(rng.uniform(0.0, 1.0))
                 sigma0 = float(rng.exponential()) if rng.uniform() < 0.3 else 0.0
                 ref, ref_sigma = _full_length_row_prox(w, u, q, upper, sigma0)
-                y, sigma = _quality_row_prox(w, u, q, upper, sigma0)
+                y, sigma = _quality_row_prox(w, u, q, n, i, sigma0)
                 worst = max(worst, float(np.abs(y - ref).max()))
                 binding += ref_sigma > 0.0
                 slack += ref_sigma == 0.0
@@ -1015,7 +1039,7 @@ class TestRowProxCandidates:
         real = optim._project_capped
         monkeypatch.setattr(optim, "_project_capped",
                             lambda v, cap: lengths.append(v.size) or real(v, cap))
-        y, sigma = _quality_row_prox(w, u, q, upper)
+        y, sigma = _quality_row_prox(w, u, q, n, i)
         assert sigma > 0.0 and len(lengths) >= 2
         assert set(lengths) == {size} and size < 3 * (n + 8)
         assert np.abs(y - ref).max() <= 1e-12
@@ -1031,7 +1055,7 @@ class TestRowProxCandidates:
         u[7] = 1.0
         upper = np.full(k, 1.0 / n)
         upper[19] = 0.0
-        y, sigma = _quality_row_prox(w, u, 0.3, upper)
+        y, sigma = _quality_row_prox(w, u, 0.3, n, 19)
         want = np.zeros(k)
         want[[0, 1, 7]] = 0.35, 0.35, 0.3
         npt.assert_allclose(y, want, atol=1e-12)
@@ -1047,11 +1071,11 @@ class TestRowProxCandidates:
         rng = np.random.default_rng(25)
         k, n = 120, 4
         for _ in range(20):
-            w, u, upper = _y_step_row(rng, k, n, "sparse", "normal")
+            w, u, upper, i = _y_step_row(rng, k, n, "sparse", "normal")
             u[:] = 0.0
             u[rng.choice(np.flatnonzero(upper > 0.0), 2, replace=False)] = 1.0
             ref, ref_sigma = _full_length_row_prox(w, u, 0.9, upper)
-            y, sigma = _quality_row_prox(w, u, 0.9, upper)
+            y, sigma = _quality_row_prox(w, u, 0.9, n, i)
             assert y.tobytes() == ref.tobytes()
             assert sigma == ref_sigma
             assert float(u @ y) == 0.5
@@ -1221,15 +1245,13 @@ class TestSolverWarnings:
         k, n = 30, 3
         u = rng.uniform(0.0, 1.0, k)
         u[0] = 0.0
-        upper = np.full(k, 1.0 / n)
-        upper[0] = 0.0
         w = rng.normal(0.0, 1.0, k)
         with caplog.at_level(logging.WARNING, logger="cacherec"):
-            exact, _ = _quality_row_prox(w, u, 0.9, upper)
+            exact, _ = _quality_row_prox(w, u, 0.9, n, 0)
         assert caplog.records == []
         monkeypatch.setattr(optim, "_ROW_NEWTON_STEPS", 1)
         with caplog.at_level(logging.WARNING, logger="cacherec"):
-            y, _ = _quality_row_prox(w, u, 0.9, upper)
+            y, _ = _quality_row_prox(w, u, 0.9, n, 0)
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "floor multiplier search stopped" in caplog.records[0].getMessage()
         assert abs(float(u @ y) - 0.9) <= 1e-12 and abs(float(y.sum()) - 1.0) <= 1e-12
