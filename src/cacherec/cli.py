@@ -51,12 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policies",
         help="comma-separated subset of norec,myopic,cars (overrides the config)",
     )
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads (default 1)",
-    )
+    # perfbench's sweep workload passes `--threads 1`; the sweep is serial
+    run.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
 
     trace = sub.add_parser("trace", help="dump the solver convergence trace")
     trace.add_argument("--config", required=True, help="JSON scenario config")
@@ -99,9 +95,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if not cfg.output_dir:
         cfg = replace(cfg, output_dir=".")
-    if args.threads < 1:
-        raise ConfigError("thread count must be >= 1")
-    rows = run_experiment(cfg, threads=args.threads)
+    rows = run_experiment(cfg)
     failures = [r for r in rows if r["error"]]
     out = Path(cfg.output_dir) / "results.csv"
     print(f"wrote {out} ({len(rows)} rows, {len(failures)} failed)")

@@ -12,7 +12,6 @@ apart from the wall-clock column.
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -363,8 +362,9 @@ def _point_rows(cfg: ScenarioConfig, pt: _GridPoint, u) -> list:
     return rows
 
 
-def run_experiment(cfg: ScenarioConfig, threads: int = 1):
-    """Run the full grid and return result rows in deterministic order.
+def run_experiment(cfg: ScenarioConfig):
+    """Run the full grid, one point after another, and return result rows
+    in deterministic order.
 
     Failures at individual grid points are captured in each row's
     `error` column; the sweep always completes. When `output_dir` is set
@@ -372,16 +372,7 @@ def run_experiment(cfg: ScenarioConfig, threads: int = 1):
     """
     grid = build_grid(cfg)
     sims = {n: _similarity_for(cfg, n) for n in sorted({pt.list_size for pt in grid})}
-
-    def run(pt):
-        return _point_rows(cfg, pt, sims[pt.list_size])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(run, grid))
-    else:
-        per_point = map(run, grid)
-    rows = [row for point in per_point for row in point]
+    rows = [row for pt in grid for row in _point_rows(cfg, pt, sims[pt.list_size])]
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from .model import (
     RequestModel,
     SimilarityMatrix,
     StationaryVector,
+    _cache_index,
     _nonzeros,
 )
 
@@ -169,12 +170,8 @@ def cache_hit_ratio(y: RecMatrix, m: RequestModel, cached) -> float:
     from `stationary`. The displayed quantity is the hit ratio, not the
     miss cost.
     """
-    k = m.size
-    idx = np.fromiter((int(c) for c in cached), dtype=int) if len(cached) else np.empty(0, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise ValueError("cached ids must index the catalog")
-    x = np.ones(k)
-    x[idx] = 0.0
+    x = np.ones(m.size)
+    x[_cache_index(cached, m.size)] = 0.0
     pi = stationary(y, m)
     chr_ = 1.0 - expected_cost(pi, x)
     return float(min(1.0, max(0.0, chr_)))

@@ -231,6 +231,14 @@ class RecMatrix(_ArrayWrapper):
         return out
 
 
+def _cache_index(cached, k: int) -> np.ndarray:
+    """The cached content ids as an index array over a catalog of `k`."""
+    idx = np.fromiter(cached, dtype=int, count=len(cached))
+    if idx.size and (idx.min() < 0 or idx.max() >= k):
+        raise ValueError("cached ids must index the catalog")
+    return idx
+
+
 def _nonzeros(y):
     """Row indices, column indices and values of a square matrix's nonzero
     entries, in row-major order; a RecMatrix's are those it took at

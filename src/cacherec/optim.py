@@ -174,20 +174,17 @@ def _first_n(key, tie, cols, up, xp, n):
     """Each row's N pool entries first in (key, tie, column) order.
 
     `key`, `tie`, `cols`, `up` and `xp` are (rows, width) pool arrays: the
-    sort key (inf on entries that may not be chosen), the tie key (None for
-    none), the column index, the similarity and the cost. Only entries at
-    or below a row's N-th smallest key can be chosen, so one partition
-    finds them and one lexsort over them, with ties kept, orders every
-    row at once. Returns the (rows, N) chosen columns in that order, with
-    each selection's quality and cost.
+    sort key (inf on entries that may not be chosen), the tie key, the
+    column index, the similarity and the cost. Only entries at or below a
+    row's N-th smallest key can be chosen, so one partition finds them
+    and one lexsort over them, with ties kept, orders every row at once.
+    Returns the (rows, N) chosen columns in that order, with each
+    selection's quality and cost.
     """
     kth = np.partition(key, n - 1, axis=1)[:, n - 1]
     at = np.flatnonzero(key <= kth[:, None])
     row = at // key.shape[1]
-    keys = (cols.ravel()[at], key.ravel()[at], row)
-    if tie is not None:
-        keys = keys[:1] + (tie.ravel()[at],) + keys[1:]
-    order = np.lexsort(keys)
+    order = np.lexsort((cols.ravel()[at], tie.ravel()[at], key.ravel()[at], row))
     counts = np.bincount(row, minlength=key.shape[0])
     at = at[order[(np.cumsum(counts) - counts)[:, None] + np.arange(n)]]
     return cols.ravel()[at], up.ravel()[at].sum(axis=1) / n, xp.ravel()[at].sum(axis=1) / n

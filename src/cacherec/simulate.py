@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (PopularityVector, RecMatrix, RequestModel, SimilarityMatrix,
-                    _is_real, _is_whole)
+                    _cache_index, _is_real, _is_whole)
 
 __all__ = [
     "CachePlacement",
@@ -210,7 +210,9 @@ def simulate(
     at ``N * v``; the others invert the popularity at ``v``. The
     positive-mass entries of every row's table, shifted up by ``N * i``,
     form one increasing array, so one `np.searchsorted` serves all
-    followers.
+    followers. An entry with ``N * y_ij`` above 1 (by more than 1e-6)
+    has no such list, and raises `ValueError`, as do cached ids outside
+    the catalog.
     """
     yv = np.asarray(y, dtype=float)
     uv = np.asarray(u, dtype=float)
@@ -221,13 +223,17 @@ def simulate(
     n = m.list_size
     a = m.follow_prob
     is_cached = np.zeros(k, dtype=bool)
-    if cache.cached:
-        is_cached[np.fromiter(cache.cached, dtype=int)] = True
+    is_cached[_cache_index(cache.cached, k)] = True
+    z = n * yv
+    if z.max() > 1.0 + 1e-6:
+        raise ValueError(
+            f"infeasible inclusion marginals: max {z.max():.9f} (cap 1) at list size {n}"
+        )
 
     # the positive-mass columns of every row, row after row, with row i's
     # cumulative table shifted up by N*i: one increasing array
     rows, cols = np.nonzero(yv > 0.0)
-    z = np.clip(n * yv, 0.0, 1.0)
+    np.clip(z, 0.0, 1.0, out=z)
     table = _inclusion_table(z, n, z.sum(axis=-1, keepdims=True))
     table += n * np.arange(k)[:, None]
     stacked = table[rows, cols]

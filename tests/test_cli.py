@@ -268,22 +268,38 @@ class TestDatasetErrors:
         assert err[0].startswith("config error: " + message)
 
 
-class TestThreadResolution:
-    def test_threads_flag(self, tmp_path):
-        cfg = write_scenario(tmp_path)
-        rc = cli.main(
-            ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-             "--threads", "2"]
-        )
-        assert rc == 0
+def run_with_threads(tmp_path, capsys, threads):
+    """Run the scenario with `--threads threads`, which must exit 1 from
+    argument parsing and write no results."""
+    cfg = write_scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+    assert exc.value.code == 1
+    assert "--threads: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
-    def test_threads_below_one_exits_one(self, tmp_path):
+
+class TestThreadResolution:
+    """The sweep is serial; `--threads` is parsed only with the value 1,
+    which perfbench's sweep workload passes."""
+
+    def test_threads_one_matches_no_flag(self, tmp_path):
         cfg = write_scenario(tmp_path)
-        rc = cli.main(
-            ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-             "--threads", "0"]
-        )
-        assert rc == 1
+        tables = []
+        for out, extra in (("plain", []), ("one", ["--threads", "1"])):
+            argv = ["run", "--config", str(cfg), "--out", str(tmp_path / out)]
+            assert cli.main(argv + extra) == 0
+            with open(tmp_path / out / "results.csv", newline="") as fh:
+                tables.append([{k: v for k, v in row.items() if k != "wall_millis"}
+                               for row in csv.DictReader(fh)])
+        assert tables[0] == tables[1]
+
+    def test_threads_above_one_exits_one(self, tmp_path, capsys):
+        run_with_threads(tmp_path, capsys, "2")
+
+    def test_threads_below_one_exits_one(self, tmp_path, capsys):
+        run_with_threads(tmp_path, capsys, "0")
 
 
 def trace_scenario(tmp_path, **overrides):

@@ -288,10 +288,6 @@ class TestRunExperiment:
         again = run_experiment(small_cfg())
         assert rows_without_wall(again) == rows_without_wall(base_rows)
 
-    def test_threads_match_serial(self, base_rows):
-        threaded = run_experiment(small_cfg(), threads=2)
-        assert rows_without_wall(threaded) == rows_without_wall(base_rows)
-
     def test_one_myopic_solve_per_grid_point(self, monkeypatch):
         calls = []
         real = experiments.myopic_solve

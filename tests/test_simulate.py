@@ -236,6 +236,28 @@ class TestSimulate:
         metrics = simulate(y, m, cache, u, cfg)
         assert metrics.requests == 4_000
 
+    @pytest.mark.parametrize("cached", [-1, 2])
+    def test_cached_ids_outside_catalog_rejected(self, cached):
+        y, u, m = swap_instance()
+        cache = CachePlacement(frozenset({cached}), 1)
+        with pytest.raises(ValueError, match="cached ids must index the catalog"):
+            simulate(y, m, cache, u, SessionConfig(total_requests=100, seed=15))
+
+    def test_entries_above_one_over_list_size_rejected(self):
+        # a list-size-2 matrix: under list size 3, row 0's 0.5 would be an
+        # inclusion mass of 1.5, which no list of 3 distinct items has
+        y = RecMatrix(np.array([[0.0, 0.5, 0.3, 0.2],
+                                [0.5, 0.0, 0.5, 0.0],
+                                [0.5, 0.5, 0.0, 0.0],
+                                [0.5, 0.0, 0.5, 0.0]]), 2)
+        u = SimilarityMatrix(np.ones((4, 4)) - np.eye(4))
+        cache = CachePlacement(frozenset({1}), 1)
+        cfg = SessionConfig(total_requests=1_000, seed=16)
+        p0 = np.full(4, 0.25)
+        assert simulate(y, RequestModel(p0, 0.9, 2), cache, u, cfg).requests == 1_000
+        with pytest.raises(ValueError, match="infeasible inclusion marginals"):
+            simulate(y, RequestModel(p0, 0.9, 3), cache, u, cfg)
+
     def test_bad_session_config_rejected(self):
         with pytest.raises(ValueError, match="total_requests"):
             SessionConfig(total_requests=0)
