@@ -268,7 +268,7 @@ class TestDatasetErrors:
         assert err[0].startswith("config error: " + message)
 
 
-def run_with_threads(tmp_path, capsys, threads):
+def assert_threads_rejected(tmp_path, capsys, threads):
     """Run the scenario with `--threads threads`, which must exit 1 from
     argument parsing and write no results."""
     cfg = write_scenario(tmp_path)
@@ -296,10 +296,10 @@ class TestThreadResolution:
         assert tables[0] == tables[1]
 
     def test_threads_above_one_exits_one(self, tmp_path, capsys):
-        run_with_threads(tmp_path, capsys, "2")
+        assert_threads_rejected(tmp_path, capsys, "2")
 
     def test_threads_below_one_exits_one(self, tmp_path, capsys):
-        run_with_threads(tmp_path, capsys, "0")
+        assert_threads_rejected(tmp_path, capsys, "0")
 
 
 def trace_scenario(tmp_path, **overrides):
