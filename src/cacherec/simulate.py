@@ -10,11 +10,14 @@ by systematic (circular start) sampling with inclusion masses
 draw from row ``y_i`` without building the list. `sample_rec_list`
 builds the list itself when the whole list is wanted.
 
-`simulate` steps every session in lockstep: all session lengths are
-drawn first, the sessions are ordered longest first, and each position
-in a session is a handful of numpy operations over the sessions still
-running. All randomness flows from one seeded generator, so runs are
-bit-reproducible.
+`simulate` draws a whole run up front, in the order of stepping the
+session positions one by one, and returns what that stepping returns.
+Openers and fall-backs do not depend on the chain's state, so they are
+one popularity lookup; follows then advance by their depth in the
+follow run that an opener or fall-back starts, all runs together. Each
+inverse-CDF draw is a guide-table lookup, which gives exactly the index
+`np.searchsorted` gives. All randomness flows from one seeded
+generator, so runs are bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -32,6 +35,10 @@ __all__ = [
     "sample_rec_list",
     "simulate",
 ]
+
+# slots per popularity lookup in `simulate`: a run of only fall-backs
+# would otherwise make the lookup's temporaries several times the run's size
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,43 @@ def _dedupe(picks, y):
     return np.asarray(sorted(out))
 
 
+class _GuideTable:
+    """Exact ``np.searchsorted(cum, keys, side="right")`` by a guide table.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, section III.2.4)
+    splits ``[0, cum[-1]]`` into ``cum.size`` equal buckets and records
+    where each bucket's entries start. Keys and entries go through the
+    same monotone bucket map ``floor(x * scale)``, so every entry of an
+    earlier bucket is at or below a key and every entry of a later bucket
+    is above it: a key's answer lies among its own bucket's entries.
+    Bisection by halving power-of-two steps finds it there in
+    ``ceil(log2(max occupancy + 1))`` passes for every key; a probe past
+    the bucket meets a larger entry, or the +inf padding past the end.
+    The result equals `np.searchsorted` for any nondecreasing,
+    nonnegative `cum` with a positive last entry, and any keys >= 0.
+    """
+
+    def __init__(self, cum):
+        self.scale = cum.size / cum[-1]
+        counts = np.bincount((cum * self.scale).astype(np.intp))
+        self.last = counts.size - 1  # keys above every entry share the last bucket
+        self.starts = np.cumsum(counts) - counts
+        self.passes = int(counts.max()).bit_length()
+        self.cum = np.append(cum, np.full(2**self.passes, np.inf))
+
+    def search(self, keys) -> np.ndarray:
+        bucket = (keys * self.scale).astype(np.intp)
+        np.minimum(bucket, self.last, out=bucket)
+        found = self.starts[bucket]
+        for p in reversed(range(self.passes)):
+            step = 1 << p
+            # the step's last entry: cum[found + step - 1]
+            found += (self.cum[step - 1:][found] <= keys) * step
+        return found
+
+
 def _session_lengths(cfg: SessionConfig, rng: np.random.Generator) -> np.ndarray:
-    """Session lengths summing to exactly ``cfg.total_requests``, longest first.
+    """Session lengths summing to exactly ``cfg.total_requests``, as drawn.
 
     Fixed sessions all have length ``session_param``; geometric lengths
     with mean ``session_param`` are drawn in chunks until they cover the
@@ -184,7 +226,57 @@ def _session_lengths(cfg: SessionConfig, rng: np.random.Generator) -> np.ndarray
     last = int(np.searchsorted(ends, total))
     lengths = lengths[: last + 1]
     lengths[-1] -= ends[last] - total
-    return np.sort(lengths)[::-1]
+    return lengths
+
+
+def _request_slots(cfg: SessionConfig, a: float):
+    """A run's request slots and their draws, in `simulate`'s draw order.
+
+    Slots list the requests position by position: the openers, then
+    position t's requests in session order, one for each of the ``live[t]``
+    sessions longer than t. Sessions are ordered longest first, so those
+    are a prefix, and only the count of each length matters. Returns
+    `live`; each slot's opener or ``v`` uniform; whether it follows (coin
+    below `a`), with one more False entry for slot `total`; and `nxt`,
+    the slot of the same session's next request or `total`.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    lengths = _session_lengths(cfg, rng)
+    sessions = lengths.size
+    live = (sessions - np.cumsum(np.bincount(lengths))).astype(np.int32)
+    del lengths
+    total = cfg.total_requests
+    uniform = np.empty(total)
+    uniform[:sessions] = rng.random(sessions)
+    draws = rng.random(2 * (total - sessions))
+    is_v = np.repeat(np.resize([True, False], 2 * live.size - 2), np.repeat(live[1:], 2))
+    np.compress(is_v, draws, out=uniform[sessions:])
+    follows = np.zeros(total + 1, dtype=bool)
+    np.compress(~is_v, draws < a, out=follows[sessions:total])
+    del draws, is_v
+    later = np.arange(sessions, total, dtype=np.int32)
+    nxt = np.full(total, total, dtype=np.int32)
+    nxt[later - np.repeat(live[:-1], live[1:])] = later
+    return live, uniform, follows, nxt
+
+
+def _position_sums(quality, follows, live) -> float:
+    """Sum the follows' `quality` position by position, as `np.sum` sums
+    each position's block and the blocks add up in order.
+
+    `quality` lists the follows in slot order and `follows` flags the
+    slots after the openers. np.sum adds a block's values to 0.0
+    pairwise, and reduceat starts from a segment's first value: with a
+    0.0 opening each position's segment, the block sums are the same.
+    """
+    sizes = live[1:-1]
+    counts = np.add.reduceat(follows, np.cumsum(sizes) - sizes, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    total = 0.0
+    for block in np.add.reduceat(np.insert(quality, starts, 0.0),
+                                 starts + np.arange(starts.size)).tolist():
+        total += block
+    return total
 
 
 def simulate(
@@ -203,14 +295,26 @@ def simulate(
     with inclusion masses ``N * y_i`` (see the module docstring).
     Quality is averaged over followed transitions only.
 
-    All sessions advance together. The generator first gives the session
-    lengths, then one uniform per session for its opener; then, at each
-    position t >= 1, one uniform ``v`` and one follow coin per session
-    still running. A follower from `i` inverts row i's cumulative table
-    at ``N * v``; the others invert the popularity at ``v``. The
-    positive-mass entries of every row's table, shifted up by ``N * i``,
-    form one increasing array, so one `np.searchsorted` serves all
-    followers. An entry with ``N * y_ij`` above 1 (by more than 1e-6)
+    Draw order, which fixes the request stream of a seed: the session
+    lengths; one uniform per session for its opener, sessions taken
+    longest first; then, for each position t >= 1, one uniform ``v`` per
+    session still running at t and after them one follow coin per such
+    session, in the same order. A request whose coin is below a follows:
+    from `i`, it inverts row i's cumulative table at ``N * v``; the
+    others invert the popularity at ``v``. The generator gives the same
+    doubles however the calls are split, so one call for the openers and
+    one for every position's ``v`` and coin blocks give the stream of
+    per-position calls.
+
+    Order of work: the openers and fall-backs are popularity lookups
+    over blocks of slots, since none depends on the chain's state. The
+    follows then advance by their depth in the follow run that an opener
+    or fall-back starts: all runs take their first follow together, then
+    their second, and so on. The positive-mass entries of every row's
+    table, shifted up by ``N * i``, form one increasing array, so one
+    lookup per depth serves every follower. Quality is summed per
+    position in session order, as stepping the positions one by one
+    would sum it. An entry with ``N * y_ij`` above 1 (by more than 1e-6)
     has no such list, and raises `ValueError`, as do cached ids outside
     the catalog.
     """
@@ -236,42 +340,41 @@ def simulate(
     np.clip(z, 0.0, 1.0, out=z)
     table = _inclusion_table(z, n, z.sum(axis=-1, keepdims=True))
     table += n * np.arange(k)[:, None]
-    stacked = table[rows, cols]
+    stacked = _GuideTable(table[rows, cols])
+    del z, table
     # a threshold rounded past a row's end is clipped back to the row's
     # last entry, never into the next row or onto a zero-mass column
     row_end = np.cumsum(np.bincount(rows, minlength=k)) - 1
     p0_cum = np.cumsum(p0)
     p0_cum[-1] = 1.0
-
-    rng = np.random.default_rng(cfg.seed)
-    lengths = _session_lengths(cfg, rng)
-    # live[t]: sessions longer than t; longest first, they are a prefix
-    live = lengths.size - np.cumsum(np.bincount(lengths))
+    popularity = _GuideTable(p0_cum)
 
     total = cfg.total_requests
-    contents = np.empty(total, dtype=np.int64)
-    current = np.searchsorted(p0_cum, rng.random(lengths.size), side="right")
-    contents[: current.size] = current
-    done = current.size
-    quality_sum = 0.0
-    followed = 0
-    for t in range(1, lengths[0]):
-        running = live[t]
-        current = current[:running]
-        v = rng.random(running)
-        follow = rng.random(running) < a
-        stay = ~follow
-        nxt = np.empty_like(current)
-        nxt[stay] = np.searchsorted(p0_cum, v[stay], side="right")
-        src = current[follow]
-        pos = np.searchsorted(stacked, n * (src + v[follow]), side="right")
+    live, uniform, follows, nxt = _request_slots(cfg, a)
+    # openers and fall-backs, block by block
+    contents = np.empty(total, dtype=np.int32)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        roots = ~follows[lo:hi]
+        contents[lo:hi][roots] = popularity.search(uniform[lo:hi][roots])
+    roots = ~follows[:total]
+    slots, src = nxt[roots].astype(np.intp), contents[roots]
+    del roots
+    while slots.size:
+        # `slots` holds the follows of one depth; `src` their sources.
+        # Each slot's uniform is read once; the slot then keeps the
+        # follow's quality there
+        keep = follows[slots]
+        slots, src = slots[keep], src[keep]
+        pos = stacked.search(n * (src + uniform[slots]))
         dst = cols[np.minimum(pos, row_end[src])]
-        nxt[follow] = dst
-        quality_sum += float(uv[src, dst].sum())
-        followed += src.size
-        contents[done : done + running] = nxt
-        done += running
-        current = nxt
+        uniform[slots] = uv[src, dst]
+        contents[slots] = src = dst
+        slots = nxt[slots].astype(np.intp)
+    quality = uniform[follows[:total]]
+    del uniform
+    followed = quality.size
+    quality_sum = _position_sums(quality, follows[live[0]:total], live)
 
     hits = int(is_cached[contents].sum())
     return SimMetrics(

@@ -22,6 +22,7 @@ __all__ = [
     "cf_fill_ref",
     "augmented_lagrangian_ref",
     "session_hit_ratio_ref",
+    "simulate_ref",
 ]
 
 
@@ -330,3 +331,78 @@ def cf_fill_ref(triples, k: int):
             num = sum(sim[i][j] * by_item[items[j]][user] for j in nbrs)
             out[i, col] = num / den if den > 0 else mean[i]
     return out
+
+
+def simulate_ref(y, p0, a: float, n: int, cached, u, total: int,
+                 session_kind: str, session_param: float, seed: int) -> dict:
+    """The session simulator stepped one session position at a time.
+
+    The generator `np.random.default_rng(seed)` gives, in order: the
+    session lengths (fixed, or geometric of mean `session_param` drawn in
+    chunks until they cover `total`, the last session cut to fit), sorted
+    longest first; one opener uniform per session; then at each position
+    t >= 1 a block of uniforms ``v`` and a block of follow coins, one of
+    each per session still running. A coin below `a` follows: from `i`,
+    row i's cumulative inclusion table, rescaled to sum to `n` and placed
+    at offset ``n*i`` in one array of every row's positive-mass entries,
+    is inverted at ``n*(i + v)`` and clipped to row i's last entry; other
+    requests invert the popularity's cumulative sum at ``v``. Quality
+    sums ``u[i, j]`` per position over the followers, in session order.
+    Returns the fields of `SimMetrics` as a dict.
+    """
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    k = p0.size
+    rng = np.random.default_rng(seed)
+    if session_kind == "fixed":
+        lengths = np.full(-(-total // int(session_param)), int(session_param), dtype=np.int64)
+    else:
+        chunk = int(total / session_param) + 1
+        parts = []
+        while sum(int(part.sum()) for part in parts) < total:
+            parts.append(rng.geometric(1.0 / session_param, size=chunk))
+        lengths = np.concatenate(parts)
+    ends = np.cumsum(lengths)
+    last = int(np.searchsorted(ends, total))
+    lengths = lengths[: last + 1]
+    lengths[-1] -= ends[last] - total
+    lengths = np.sort(lengths)[::-1]
+
+    z = np.clip(n * y, 0.0, 1.0)
+    z *= n / z.sum(axis=1, keepdims=True)
+    table = np.cumsum(z, axis=1)
+    table[:, -1] = n
+    table += n * np.arange(k)[:, None]
+    rows, cols = np.nonzero(y > 0.0)
+    stacked = table[rows, cols]
+    row_end = np.cumsum(np.bincount(rows, minlength=k)) - 1
+    p0_cum = np.cumsum(p0)
+    p0_cum[-1] = 1.0
+
+    current = np.searchsorted(p0_cum, rng.random(lengths.size), side="right")
+    seen = [current]
+    quality_sum = 0.0
+    followed = 0
+    for t in range(1, int(lengths[0])):
+        current = current[: int((lengths > t).sum())]
+        v = rng.random(current.size)
+        follow = rng.random(current.size) < a
+        nxt = np.searchsorted(p0_cum, v, side="right")
+        src = current[follow]
+        pos = np.searchsorted(stacked, n * (src + v[follow]), side="right")
+        nxt[follow] = cols[np.minimum(pos, row_end[src])]
+        quality_sum += float(u[src, nxt[follow]].sum())
+        followed += src.size
+        seen.append(nxt)
+        current = nxt
+    contents = np.concatenate(seen)
+    hits = int(sum(int((contents == c).sum()) for c in cached))
+    return dict(
+        requests=int(total),
+        hits=hits,
+        empirical_chr=hits / total,
+        mean_quality_served=quality_sum / followed if followed else 0.0,
+        per_content_counts=np.bincount(contents, minlength=k),
+        followed=followed,
+    )

@@ -19,6 +19,8 @@ from cacherec import (
     top_c_cache,
     zipf_popularity,
 )
+from cacherec.simulate import _GuideTable
+from oracles import simulate_ref
 
 
 # the largest follow probability below 1: a uniform from the generator
@@ -298,19 +300,26 @@ class TestLockstep:
         # the largest uniform below 1 puts every follow threshold N*(i + v)
         # on row i's end after rounding; the follow must still be i+1
         class EdgeStream:
+            """One flat stream served by draw index, however calls split it:
+            the openers, then at each position a block of v (all ALWAYS)
+            and a block of follow coins (all 0.0)."""
+
             def __init__(self, seed):
-                self.calls = 0
+                self.drawn = 0
 
             def random(self, size):
-                # openers, then (v, follow coin) at every position
-                self.calls += 1
-                top = self.calls > 1 and self.calls % 2 == 0
-                return np.full(size, ALWAYS if top else 0.0)
+                idx = np.arange(self.drawn, self.drawn + size)
+                self.drawn += size
+                after = idx - sessions
+                # every position runs all `sessions` sessions here
+                top = (after >= 0) & (after // sessions % 2 == 0)
+                return np.where(top, ALWAYS, 0.0)
 
         monkeypatch.setattr(np.random, "default_rng", EdgeStream)
         k = 9
+        sessions = 20
         y, u, m = cycle_instance(k, a=0.5)
-        cfg = SessionConfig(total_requests=20 * k, session_param=k)
+        cfg = SessionConfig(total_requests=sessions * k, session_param=k)
         metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
         npt.assert_array_equal(metrics.per_content_counts, np.full(k, 20))
         assert metrics.followed == 20 * (k - 1)
@@ -371,6 +380,95 @@ class TestLockstep:
         metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, cfg)
         assert metrics.followed == 1_000_000
         assert metrics.mean_quality_served == 0.0
+
+
+def random_instance(k, n, a, fractional, seed):
+    """Each row spreads its mass over 5n+1 or more other contents, one of
+    them with mass 1e-9; the similarity is 0/1 or fractional."""
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((k, k))
+    for i in range(k):
+        others = np.delete(np.arange(k), i)
+        support = rng.choice(others, size=int(rng.integers(5 * n + 1, k)), replace=False)
+        w = rng.uniform(0.2, 1.0, support.size)
+        w[0] = 1e-9
+        vals[i, support] = w / w.sum()
+    sim = rng.random((k, k)) if fractional else (rng.random((k, k)) < 0.5).astype(float)
+    np.fill_diagonal(sim, 0.0)
+    p0 = np.asarray(zipf_popularity(k, 0.8))[rng.permutation(k)]
+    return RecMatrix(vals, n), SimilarityMatrix(sim), RequestModel(p0 / p0.sum(), a, n)
+
+
+class TestGuideTable:
+    def assert_matches_searchsorted(self, cum, keys):
+        got = _GuideTable(cum).search(keys)
+        npt.assert_array_equal(got, np.searchsorted(cum, keys, side="right"))
+
+    @pytest.mark.parametrize("masses", [
+        np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0]),
+        np.array([1.0]),
+        np.array([0.0, 1.0, 0.0]),
+        np.full(7, 1.0 / 7.0),
+        np.arange(1, 3001, dtype=float) ** -1.2,
+        np.r_[1e6, np.full(2999, 1e-9)],
+        np.r_[np.full(2999, 1e-9), 1e6],
+    ])
+    def test_matches_searchsorted_on_adversarial_tables(self, masses):
+        cum = np.cumsum(masses / masses.sum())
+        cum[-1] = 1.0
+        rng = np.random.default_rng(40)
+        keys = np.concatenate([
+            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            [0.0, np.nextafter(1.0, 0.0), 1.0, 5e-324],
+            rng.random(5000), rng.random(500) * 1e-6,
+        ])
+        self.assert_matches_searchsorted(cum, keys)
+
+    def test_matches_searchsorted_on_stacked_rows(self):
+        # row i's table at offset 4*i, keys 4*(i + v) with v up to 1 - 2**-53
+        rng = np.random.default_rng(41)
+        rows = [np.cumsum(rng.dirichlet(np.full(int(rng.integers(1, 9)), 0.3))) * 4.0
+                for _ in range(200)]
+        for i, row in enumerate(rows):
+            row[-1] = 4.0
+            row += 4.0 * i
+        cum = np.concatenate(rows)
+        src = rng.integers(0, 200, 20_000)
+        v = np.r_[rng.random(19_998), 0.0, ALWAYS]
+        self.assert_matches_searchsorted(cum, 4 * (src + v))
+        self.assert_matches_searchsorted(cum, np.r_[cum, np.nextafter(cum, 0.0), 801.0])
+
+    def test_one_heavy_item_bisects_in_twelve_passes(self):
+        # 2999 light items share a few buckets; bisection still bounds the work
+        cum = np.cumsum(np.r_[0.999, np.full(2999, 0.001 / 2999)])
+        cum[-1] = 1.0
+        table = _GuideTable(cum)
+        assert 1 <= table.passes <= 12
+        keys = np.r_[np.linspace(0.0, ALWAYS, 10_001), cum]
+        npt.assert_array_equal(table.search(keys), np.searchsorted(cum, keys, side="right"))
+
+
+class TestMatchesPositionLoop:
+    """`simulate` equals the position-by-position loop in `oracles`, field for field."""
+
+    @pytest.mark.parametrize("kind,param,total", [
+        ("fixed", 1, 97), ("fixed", 7, 1000), ("fixed", 200, 4001),
+        ("geometric", 1, 300), ("geometric", 4, 5003), ("geometric", 37.5, 2999),
+    ])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.8, ALWAYS])
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_fields_equal(self, kind, param, total, a, fractional):
+        seed = 1000 + total
+        k, n = 31, 1 + total % 4
+        y, u, m = random_instance(k, n, a, fractional, seed)
+        cache = top_c_cache(m.popularity, 5)
+        cfg = SessionConfig(total_requests=total, session_kind=kind, session_param=param,
+                            seed=seed)
+        got = simulate(y, m, cache, u, cfg)
+        ref = simulate_ref(y, m.popularity, a, n, cache.cached, u, total, kind, param, seed)
+        npt.assert_array_equal(got.per_content_counts, ref["per_content_counts"])
+        for name in ("requests", "hits", "empirical_chr", "followed", "mean_quality_served"):
+            assert getattr(got, name) == ref[name], name
 
 
 class TestEmpiricalDistribution:
