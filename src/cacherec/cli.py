@@ -81,14 +81,8 @@ def _load_config(args) -> ScenarioConfig:
         overrides["policies"] = tuple(
             p.strip() for p in args.policies.split(",") if p.strip()
         )
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid override: {exc}") from exc
-    return cfg
+    # ScenarioConfig checks every override and raises ConfigError
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _cmd_run(args) -> int:

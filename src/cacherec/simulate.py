@@ -10,14 +10,17 @@ by systematic (circular start) sampling with inclusion masses
 draw from row ``y_i`` without building the list. `sample_rec_list`
 builds the list itself when the whole list is wanted.
 
-`simulate` draws a whole run up front, in the order of stepping the
-session positions one by one, and returns what that stepping returns.
-Openers and fall-backs do not depend on the chain's state, so they are
-one popularity lookup; follows then advance by their depth in the
-follow run that an opener or fall-back starts, all runs together. Each
-inverse-CDF draw is a guide-table lookup, which gives exactly the index
-`np.searchsorted` gives. All randomness flows from one seeded
-generator, so runs are bit-reproducible.
+Every draw, a follow, an opener, a fall-back or a list threshold, is
+one lookup in a `_Rows` table, with one row-end rule: a key rounded past
+a row's last positive-mass entry picks that entry, so no draw lands on
+a zero-mass item. The lookup is a guide table, which gives exactly the
+index `np.searchsorted` gives. `simulate` draws a whole run up front, in
+the order of stepping the session positions one by one, and returns
+what that stepping returns. Openers and fall-backs do not depend on the
+chain's state, so they are one popularity lookup; follows then advance
+by their depth in the follow run that an opener or fall-back starts,
+all runs together. All randomness flows from one seeded generator, so
+runs are bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -112,9 +115,11 @@ def sample_rec_list(y_row, n: int, rng: np.random.Generator, size=None) -> np.nd
     u+n-1 against the cumulative inclusion probabilities. Because each
     inclusion probability is at most 1, no item can catch two thresholds,
     and each item's marginal probability equals its inclusion mass
-    exactly. With `size`, returns a ``(size, n)`` array of lists drawn
-    from one table and one ``rng.random(size)``; they equal the lists of
-    `size` single calls.
+    exactly. The thresholds are looked up in the row table of
+    `simulate`'s follows, with its row-end rule: one rounded past the
+    last positive-mass item picks that item. With `size`, returns a
+    ``(size, n)`` array of lists drawn from one table and one
+    ``rng.random(size)``; they equal the lists of `size` single calls.
     """
     y = np.asarray(y_row, dtype=float)
     z = n * y
@@ -124,34 +129,15 @@ def sample_rec_list(y_row, n: int, rng: np.random.Generator, size=None) -> np.nd
             f"infeasible inclusion marginals: sum {total:.9f} (need {n}), "
             f"max {hi:.9f} (cap 1)"
         )
-    if lo < 0.0 or hi > 1.0:
-        np.clip(z, 0.0, 1.0, out=z)
-        total = z.sum()
-    cum = _inclusion_table(z, n, total)
     starts = rng.random() if size is None else rng.random(size)
-    picks = np.searchsorted(cum, np.add.outer(starts, np.arange(n)), side="right")
+    picks = _follow_rows(z[None], n).pick(0, np.add.outer(starts, np.arange(n)))
     lists = picks.reshape(-1, n)
-    end = lists[:, -1] == y.size  # threshold rounded onto the table's end
-    if end.any():
-        lists[end, -1] = np.flatnonzero(y > 0.0)[-1]
     if n > 1:
-        for d in np.flatnonzero((lists[:, 1:] <= lists[:, :-1]).any(axis=1)):  # pragma: no cover
-            lists[d] = _dedupe(lists[d], y)  # roundoff pathologies only
+        # an entry at the 1/N cap in a row that sums up to 1e-6 short is
+        # rescaled past 1, and two thresholds can pick it
+        for d in np.flatnonzero((lists[:, 1:] <= lists[:, :-1]).any(axis=1)):
+            lists[d] = _dedupe(lists[d], y)
     return picks
-
-
-def _inclusion_table(z, n: int, total) -> np.ndarray:
-    """Cumulative inclusion masses of a row (or of each row), built in place.
-
-    `z` holds ``n*y`` already clipped to [0, 1] and `total` its row sums.
-    Each row is rescaled to sum to exactly `n`, and its last edge is
-    pinned to `n` against roundoff, so the systematic thresholds u, u+1,
-    ..., u+n-1 always land inside the table.
-    """
-    np.multiply(z, n / total, out=z)
-    np.cumsum(z, axis=-1, out=z)
-    z[..., -1] = n
-    return z
 
 
 def _dedupe(picks, y):
@@ -200,6 +186,42 @@ class _GuideTable:
             # the step's last entry: cum[found + step - 1]
             found += (self.cum[step - 1:][found] <= keys) * step
         return found
+
+
+class _Rows:
+    """Rows of masses laid end to end as one inverse-CDF table.
+
+    Row i of `z` (overwritten) holds nonnegative masses that sum to
+    `span` up to roundoff. Its cumulative sums, the last pinned to
+    `span`, are shifted up by ``span * i``; the positive-mass entries of
+    every row, row after row, then form one increasing array, which one
+    `_GuideTable` inverts.
+    """
+
+    def __init__(self, z, span):
+        rows, self.cols = np.nonzero(z > 0.0)
+        np.cumsum(z, axis=-1, out=z)
+        z[:, -1] = span
+        z += span * np.arange(z.shape[0])[:, None]
+        self.table = _GuideTable(z[rows, self.cols])
+        self.row_end = np.cumsum(np.bincount(rows, minlength=z.shape[0])) - 1
+
+    def pick(self, src, keys) -> np.ndarray:
+        """Row `src`'s column at each key ``span * (src + v)``, v in [0, 1).
+
+        A key rounded past the row's last positive-mass entry picks that
+        entry, never a zero-mass column or the next row.
+        """
+        pos = self.table.search(keys)
+        return self.cols[np.minimum(pos, self.row_end[src], out=pos)]
+
+
+def _follow_rows(z, n: int) -> _Rows:
+    """The table of inclusion masses ``z = n * y`` (overwritten), each row
+    clipped to [0, 1] and rescaled to sum to the list size `n`."""
+    np.clip(z, 0.0, 1.0, out=z)
+    z *= n / z.sum(axis=-1, keepdims=True)
+    return _Rows(z, n)
 
 
 def _session_lengths(cfg: SessionConfig, rng: np.random.Generator) -> np.ndarray:
@@ -300,23 +322,24 @@ def simulate(
     longest first; then, for each position t >= 1, one uniform ``v`` per
     session still running at t and after them one follow coin per such
     session, in the same order. A request whose coin is below a follows:
-    from `i`, it inverts row i's cumulative table at ``N * v``; the
-    others invert the popularity at ``v``. The generator gives the same
-    doubles however the calls are split, so one call for the openers and
-    one for every position's ``v`` and coin blocks give the stream of
+    from `i`, it looks up row i of the follow table at ``N * (i + v)``;
+    the others look up the popularity at ``v``. The generator gives the
+    same doubles however the calls are split, so one call for the openers
+    and one for every position's ``v`` and coin blocks give the stream of
     per-position calls.
 
     Order of work: the openers and fall-backs are popularity lookups
     over blocks of slots, since none depends on the chain's state. The
     follows then advance by their depth in the follow run that an opener
     or fall-back starts: all runs take their first follow together, then
-    their second, and so on. The positive-mass entries of every row's
-    table, shifted up by ``N * i``, form one increasing array, so one
-    lookup per depth serves every follower. Quality is summed per
-    position in session order, as stepping the positions one by one
-    would sum it. An entry with ``N * y_ij`` above 1 (by more than 1e-6)
-    has no such list, and raises `ValueError`, as do cached ids outside
-    the catalog.
+    their second, and so on. All rows of ``N * y`` form one `_Rows`
+    table, so one lookup per depth serves every follower; the popularity
+    is a one-row `_Rows` table. Every draw thus takes the same lookup and
+    row-end rule, and none lands on an item of zero popularity or zero
+    ``y_ij``. Quality is summed per position in session order, as
+    stepping the positions one by one would sum it. An entry with
+    ``N * y_ij`` above 1 (by more than 1e-6) has no such list, and raises
+    `ValueError`, as do cached ids outside the catalog.
     """
     yv = np.asarray(y, dtype=float)
     uv = np.asarray(u, dtype=float)
@@ -328,26 +351,13 @@ def simulate(
     a = m.follow_prob
     is_cached = np.zeros(k, dtype=bool)
     is_cached[_cache_index(cache.cached, k)] = True
-    z = n * yv
-    if z.max() > 1.0 + 1e-6:
+    top = n * yv.max()  # equals (n * yv).max(): rounding is monotone
+    if top > 1.0 + 1e-6:
         raise ValueError(
-            f"infeasible inclusion marginals: max {z.max():.9f} (cap 1) at list size {n}"
+            f"infeasible inclusion marginals: max {top:.9f} (cap 1) at list size {n}"
         )
-
-    # the positive-mass columns of every row, row after row, with row i's
-    # cumulative table shifted up by N*i: one increasing array
-    rows, cols = np.nonzero(yv > 0.0)
-    np.clip(z, 0.0, 1.0, out=z)
-    table = _inclusion_table(z, n, z.sum(axis=-1, keepdims=True))
-    table += n * np.arange(k)[:, None]
-    stacked = _GuideTable(table[rows, cols])
-    del z, table
-    # a threshold rounded past a row's end is clipped back to the row's
-    # last entry, never into the next row or onto a zero-mass column
-    row_end = np.cumsum(np.bincount(rows, minlength=k)) - 1
-    p0_cum = np.cumsum(p0)
-    p0_cum[-1] = 1.0
-    popularity = _GuideTable(p0_cum)
+    follow = _follow_rows(n * yv, n)
+    popularity = _Rows(p0[None].copy(), 1)
 
     total = cfg.total_requests
     live, uniform, follows, nxt = _request_slots(cfg, a)
@@ -356,7 +366,7 @@ def simulate(
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
         roots = ~follows[lo:hi]
-        contents[lo:hi][roots] = popularity.search(uniform[lo:hi][roots])
+        contents[lo:hi][roots] = popularity.pick(0, uniform[lo:hi][roots])
     roots = ~follows[:total]
     slots, src = nxt[roots].astype(np.intp), contents[roots]
     del roots
@@ -366,8 +376,7 @@ def simulate(
         # follow's quality there
         keep = follows[slots]
         slots, src = slots[keep], src[keep]
-        pos = stacked.search(n * (src + uniform[slots]))
-        dst = cols[np.minimum(pos, row_end[src])]
+        dst = follow.pick(src, n * (src + uniform[slots]))
         uniform[slots] = uv[src, dst]
         contents[slots] = src = dst
         slots = nxt[slots].astype(np.intp)

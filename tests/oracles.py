@@ -346,8 +346,10 @@ def simulate_ref(y, p0, a: float, n: int, cached, u, total: int,
     row i's cumulative inclusion table, rescaled to sum to `n` and placed
     at offset ``n*i`` in one array of every row's positive-mass entries,
     is inverted at ``n*(i + v)`` and clipped to row i's last entry; other
-    requests invert the popularity's cumulative sum at ``v``. Quality
-    sums ``u[i, j]`` per position over the followers, in session order.
+    requests invert the popularity's cumulative sum, its last entry
+    pinned to 1, at ``v`` and are clipped to the last item of positive
+    popularity. Quality sums ``u[i, j]`` per position over the followers,
+    in session order.
     Returns the fields of `SimMetrics` as a dict.
     """
     y = np.asarray(y, dtype=float)
@@ -379,8 +381,9 @@ def simulate_ref(y, p0, a: float, n: int, cached, u, total: int,
     row_end = np.cumsum(np.bincount(rows, minlength=k)) - 1
     p0_cum = np.cumsum(p0)
     p0_cum[-1] = 1.0
+    p0_end = np.flatnonzero(p0 > 0.0)[-1]
 
-    current = np.searchsorted(p0_cum, rng.random(lengths.size), side="right")
+    current = np.minimum(np.searchsorted(p0_cum, rng.random(lengths.size), side="right"), p0_end)
     seen = [current]
     quality_sum = 0.0
     followed = 0
@@ -388,7 +391,7 @@ def simulate_ref(y, p0, a: float, n: int, cached, u, total: int,
         current = current[: int((lengths > t).sum())]
         v = rng.random(current.size)
         follow = rng.random(current.size) < a
-        nxt = np.searchsorted(p0_cum, v, side="right")
+        nxt = np.minimum(np.searchsorted(p0_cum, v, side="right"), p0_end)
         src = current[follow]
         pos = np.searchsorted(stacked, n * (src + v[follow]), side="right")
         nxt[follow] = cols[np.minimum(pos, row_end[src])]

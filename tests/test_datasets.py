@@ -93,6 +93,22 @@ TIE_HEAVY = [(seed, 1 + seed % 11) for seed in range(44)]
 TIE_HEAVY_SHA256 = "248ae70c61d55fa4654f74ab9d226472f52d7028d3e1c75037a50bf073ef7d19"
 
 
+def comments_only(tmp_path):
+    path = tmp_path / "sim.tsv"
+    path.write_text("# idA\tidB\tscore\n\n# no pairs\n")
+    return load_lastfm_triplets(path)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda tmp_path: RatingsTable(np.array([1, 2]), np.array([10]), np.array([3.0, 4.0])),
+     "user, item and rating columns must align"),
+    (comments_only, "similarity file is empty"),
+], ids=["ratings-columns", "triplets-comments-only"])
+def test_malformed_input_rejected(tmp_path, make, match):
+    with pytest.raises(ValueError, match=match):
+        make(tmp_path)
+
+
 class TestRatingsTable:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

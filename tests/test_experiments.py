@@ -139,6 +139,12 @@ class TestScenarioConfigFromJson:
         with pytest.raises(ConfigError, match="unknown session keys"):
             ScenarioConfig.from_json(path)
 
+    @pytest.mark.parametrize("key", ["cars", "session"])
+    def test_non_object_block_rejected(self, tmp_path, key):
+        path = write_config(tmp_path, {"dataset": {"kind": "synthetic", "size": 8}, key: [4]})
+        with pytest.raises(ConfigError, match=f"^'{key}' must be a JSON object$"):
+            ScenarioConfig.from_json(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text("{not json", encoding="utf-8")

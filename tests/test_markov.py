@@ -394,6 +394,15 @@ class TestCacheHitRatio:
             cache_hit_ratio(SWAP, m, {5})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: expected_cost([0.5, 0.5], np.ones(3)),
+    lambda: quality_of(SWAP, SimilarityMatrix(np.zeros((3, 3)))),
+], ids=["expected_cost", "quality_of"])
+def test_dimension_mismatch_rejected(call):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()
+
+
 class TestQualityOf:
     def test_fully_similar_support(self):
         u = SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

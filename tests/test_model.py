@@ -261,6 +261,24 @@ class TestStationaryVector:
             StationaryVector([0.25, 0.25])
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: SimilarityMatrix(np.array([[0.0, np.nan], [1.0, 0.0]])),
+     "similarity entries must be finite"),
+    (lambda: PopularityVector(np.full((2, 2), 0.25)), "popularity must be a vector"),
+    (lambda: PopularityVector([np.nan, 1.0]), "popularity entries must be finite"),
+    (lambda: CostVector(np.ones((2, 2))), "cost must be a vector"),
+    (lambda: RecMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), list_size=0),
+     "list size must be >= 1"),
+    (lambda: RequestModel([0.3, 0.7], 0.5, 0), "list size must be >= 1"),
+    (lambda: StationaryVector(np.full((2, 2), 0.25)), "stationary distribution must be a vector"),
+    (lambda: StationaryVector([-0.1, 1.1]), "stationary entries must be >= 0"),
+], ids=["similarity-nonfinite", "popularity-matrix", "popularity-nonfinite", "cost-matrix",
+        "rec-list-size", "model-list-size", "stationary-matrix", "stationary-negative"])
+def test_malformed_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 WRAPPERS = [
     lambda: SimilarityMatrix(np.array([[0.0, 0.5], [1.0, 0.0]])),
     lambda: PopularityVector([0.3, 0.7]),

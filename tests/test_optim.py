@@ -72,6 +72,17 @@ def one_step_cost(y, inputs) -> float:
 
 
 class TestOptimInputs:
+    @pytest.mark.parametrize("k,quality,match", [
+        (4, 0.0, "similarity, model and cost sizes disagree"),
+        (3, [0.1, 0.2], "quality must be scalar or length 3"),
+        (3, 1.5, r"quality floors must lie in \[0, 1\]"),
+    ], ids=["sizes", "quality-length", "quality-range"])
+    def test_malformed_inputs_rejected(self, k, quality, match):
+        u = SimilarityMatrix(np.ones((3, 3)) - np.eye(3))
+        model = RequestModel(np.full(k, 1 / k), 0.5, 1)
+        with pytest.raises(ValueError, match=match):
+            OptimInputs(u, model, np.ones(3), quality)
+
     def test_scalar_quality_broadcasts(self):
         rng = np.random.default_rng(0)
         inp = make_inputs(4, 2, rng, q=0.3)
@@ -1331,6 +1342,16 @@ class TestCarsSolve:
         assert lu_calls == []
         lu_cost = expected_cost(stationary_direct(res.best_y, inp.model), x)
         assert abs(res.best_cost - lu_cost) <= 1e-12
+
+    def test_bare_array_warm_start_matches_rec_matrix(self):
+        rng = np.random.default_rng(13)
+        inp = make_inputs(6, 2, rng, q=0.4)
+        y0 = top_n_similarity(inp)
+        bare = cars_solve(inp, CarsConfig(y0=np.array(y0), max_iter=3))
+        wrapped = cars_solve(inp, CarsConfig(y0=y0, max_iter=3))
+        assert isinstance(bare.best_y, RecMatrix)
+        assert np.asarray(bare.best_y).tobytes() == np.asarray(wrapped.best_y).tobytes()
+        assert bare.trace == wrapped.trace
 
     def test_converged_flag_on_easy_instance(self):
         u = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -69,6 +69,11 @@ class TestProjectSimplex:
             du = project_simplex(u) - project_simplex(v)
             assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-12
 
+    @pytest.mark.parametrize("v", [0.5, np.full((2, 2), 0.25)], ids=["scalar", "matrix"])
+    def test_rejects_non_vector(self, v):
+        with pytest.raises(ValueError, match="project_simplex expects a vector"):
+            project_simplex(v)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             project_simplex([np.nan, 0.0])

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo session simulator and Madow list sampling."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from cacherec import (
     RequestModel,
     SessionConfig,
     SimilarityMatrix,
+    SimMetrics,
     cache_hit_ratio,
     sample_rec_list,
     simulate,
@@ -22,11 +24,24 @@ from cacherec import (
 from cacherec.simulate import _GuideTable
 from oracles import simulate_ref
 
+# the module itself: the package re-exports its function `simulate` under
+# the module's name
+simulate_module = importlib.import_module("cacherec.simulate")
 
 # the largest follow probability below 1: a uniform from the generator
 # falls below it unless it is exactly 1 - 2**-53, so every seeded stream
 # used here follows on every request after a session's first
 ALWAYS = float(np.nextafter(1.0, 0.0))
+
+
+class Stub:
+    """A generator stand-in whose every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 def swap_instance(a=0.6):
@@ -75,12 +90,28 @@ class TestSampleRecList:
     def test_threshold_rounded_onto_table_end_stays_on_mass(self):
         # start u = 1 - 2**-53 makes the last threshold u + 1 round to 2,
         # the table's end; the pick must be the last item with mass
-        class TopStart:
-            def random(self):
-                return ALWAYS
-
-        picks = sample_rec_list(np.array([0.5, 0.5, 0.0]), 2, TopStart())
+        picks = sample_rec_list(np.array([0.5, 0.5, 0.0]), 2, Stub(ALWAYS))
         npt.assert_array_equal(picks, [0, 1])
+
+    def test_threshold_past_last_positive_entry_stays_on_mass(self):
+        # item 6's cumulative mass is 2.9999999999999996 and the pinned end
+        # 3.0 is zero-mass item 7's; the last threshold u + 2 falls between
+        y = np.array([0.07081176729193278, 0.24009752955077382, 0.10856145381584567,
+                      0.04937852569287146, 0.16874357106542445, 0.23668751237404914,
+                      0.12571964020910262, 0.0])
+        picks = sample_rec_list(y, 3, Stub(0.9999999999999996))
+        npt.assert_array_equal(picks, [2, 5, 6])
+
+    def test_capped_entry_rescaled_past_one_is_repaired(self, monkeypatch):
+        # the row sums 1e-7 short of 1, so rescaling lifts item 0's
+        # inclusion mass past 1 and thresholds 0 and 1 both pick it
+        repaired = []
+        dedupe = simulate_module._dedupe
+        monkeypatch.setattr(simulate_module, "_dedupe",
+                            lambda picks, y: repaired.append(picks.tolist()) or dedupe(picks, y))
+        picks = sample_rec_list([0.5, 0.25, 0.2499999, 0.0], 2, Stub(0.0))
+        npt.assert_array_equal(picks, [0, 1])
+        assert repaired == [[0, 0]]
 
     def test_returns_n_distinct(self):
         rng = np.random.default_rng(2)
@@ -275,6 +306,36 @@ class TestSimulate:
         # a geometric session_param is a mean, and a whole float is a count
         cfg = SessionConfig(total_requests=10.0, session_kind="geometric", session_param=50.7)
         assert cfg.total_requests == 10 and isinstance(cfg.total_requests, int)
+
+    def test_popularity_draw_past_last_positive_item_stays_on_mass(self, monkeypatch):
+        # p0 sums to 0.9999999999999999 = 1 - 2**-53, and the pin 1.0 is
+        # zero-popularity item 5's; every opener's uniform is that sum
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Stub(ALWAYS))
+        p0 = np.array([0.19175634591705681, 0.05771549572758195, 0.059000743722290326,
+                       0.40975952244159397, 0.2817678921914769, 0.0])
+        with pytest.warns(UserWarning, match="exact zeros"):
+            m = RequestModel(p0, 0.0, 1)
+        y, u, _ = cycle_instance(p0.size)
+        metrics = simulate(y, m, CachePlacement(frozenset(), 0), u, SessionConfig(10, "fixed", 1))
+        npt.assert_array_equal(metrics.per_content_counts, [0, 0, 0, 0, 10, 0])
+        ref = simulate_ref(y, p0, 0.0, 1, (), u, 10, "fixed", 1, 0)
+        npt.assert_array_equal(ref["per_content_counts"], metrics.per_content_counts)
+
+
+def simulate_two_contents_under_three():
+    y, u, _ = swap_instance()
+    m = RequestModel(np.full(3, 1 / 3), 0.5, 1)
+    return simulate(y, m, CachePlacement(frozenset(), 0), u, SessionConfig(10))
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: CachePlacement(frozenset({0, 1}), 1), "placement holds 2 contents, capacity is 1"),
+    (lambda: SimMetrics(3, 0, 0.0, 0.0, np.array([1, 1])), "counts must sum to the request count"),
+    (simulate_two_contents_under_three, "matrix sizes disagree with the model"),
+], ids=["placement", "metrics", "simulate"])
+def test_malformed_input_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def cycle_instance(k, a=ALWAYS, quality=0.75):
