@@ -22,6 +22,7 @@ from .model import (
     StationaryVector,
     _cache_index,
     _nonzeros,
+    _shape,
 )
 
 __all__ = [
@@ -98,12 +99,11 @@ def stationary(y: RecMatrix, m: RequestModel) -> StationaryVector:
     norm. One DEBUG line per call gives the path, the step count and the
     certified l1 bound.
     """
-    yv = np.asarray(y, dtype=float)
     p0 = np.asarray(m.popularity, dtype=float)
     a = m.follow_prob
     k = p0.size
-    if yv.shape != (k, k):
-        raise ValueError(f"dimension mismatch: Y is {yv.shape}, popularity has {k}")
+    if _shape(y) != (k, k):
+        raise ValueError(f"dimension mismatch: Y is {_shape(y)}, popularity has {k}")
     if a == 0.0:
         _log.debug(_LOG_LINE, "popularity", 0, 0.0)
         return StationaryVector(p0)
@@ -178,9 +178,10 @@ def cache_hit_ratio(y: RecMatrix, m: RequestModel, cached) -> float:
 
 
 def quality_of(y: RecMatrix, u: SimilarityMatrix) -> np.ndarray:
-    """Per-row recommendation quality ``sum_j y_ij u_ij``."""
-    yv = np.asarray(y, dtype=float)
+    """Per-row recommendation quality ``sum_j y_ij u_ij``, summed over the
+    nonzeros of Y."""
     uv = np.asarray(u, dtype=float)
-    if yv.shape != uv.shape:
-        raise ValueError(f"dimension mismatch: {yv.shape} vs {uv.shape}")
-    return np.einsum("ij,ij->i", yv, uv)
+    if _shape(y) != uv.shape:
+        raise ValueError(f"dimension mismatch: {_shape(y)} vs {uv.shape}")
+    rows, cols, vals = _nonzeros(y)
+    return np.bincount(rows, vals * uv[rows, cols], uv.shape[0])

@@ -1,8 +1,10 @@
 """Domain types for the cache-aware recommendation problem.
 
-All numeric payloads are dense ``numpy`` arrays wrapped in small frozen
-dataclasses that validate their invariants once, at construction time.
-Every type is immutable afterwards (the wrapped arrays are marked
+Numeric payloads are ``numpy`` arrays wrapped in small frozen types that
+validate their invariants once, at construction time, and compare and
+hash by identity. The vectors and the similarity hold a dense array; a
+`RecMatrix` holds the nonzeros of Y and builds its dense array on first
+use. Every type is immutable afterwards (the wrapped arrays are marked
 read-only), so instances are safe to share across threads.
 """
 
@@ -65,7 +67,7 @@ class _ArrayWrapper:
         return np.array(self.values, dtype=dtype, copy=copy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix(_ArrayWrapper):
     """K x K content-relatedness scores in [0, 1] with a zero diagonal."""
 
@@ -84,7 +86,7 @@ class SimilarityMatrix(_ArrayWrapper):
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopularityVector(_ArrayWrapper):
     """Baseline request probabilities: nonnegative, summing to one."""
 
@@ -112,7 +114,7 @@ class PopularityVector(_ArrayWrapper):
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostVector(_ArrayWrapper):
     """Per-content fetch cost: finite and nonnegative."""
 
@@ -167,21 +169,26 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
         `tol`. Each entry names the offending row/column and the magnitude
         of the breach; a non-finite entry is a ``nonfinite`` violation of
         magnitude ``inf``.
+
+    A zero entry passes every entrywise check, and a NaN is a nonzero, so
+    the checks run over Y's nonzeros alone. A RecMatrix's row sums are
+    ``np.bincount`` sums of its nonzeros, so its dense array is never
+    built; an array's are its dense row sums.
     """
     if isinstance(y, RecMatrix):
         n = y.list_size
-        v = y.values
+        rows, cols, vals = y.nonzeros
+        sums = np.bincount(rows, vals, y.size)
     else:
         if list_size is None:
             raise ValueError("list_size is required when y is a bare array")
         n = int(list_size)
         v = np.asarray(y, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        return [Violation("shape", None, None, 0.0)]
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            return [Violation("shape", None, None, 0.0)]
+        rows, cols, vals = _nonzeros(v)
+        sums = v.sum(axis=1)
 
-    # A zero entry passes every entrywise check, and a NaN is a nonzero, so
-    # the checks run over Y's nonzeros alone.
-    rows, cols, vals = _nonzeros(y)
     over = vals - 1.0 / n
     checks = (
         ("nonfinite", ~np.isfinite(vals), np.full(vals.shape, np.inf)),
@@ -191,44 +198,89 @@ def validate_rec_matrix(y, tol: float = 1e-6, list_size: int | None = None):
     )
     out = [Violation(kind, int(rows[t]), int(cols[t]), float(mag[t]))
            for kind, hit, mag in checks for t in np.flatnonzero(hit)]
-    row_err = np.abs(v.sum(axis=1) - 1.0)
+    row_err = np.abs(sums - 1.0)
     for i in np.flatnonzero(row_err > tol):
         out.append(Violation("row_sum", int(i), None, float(row_err[i])))
     return out
 
 
-@dataclass(frozen=True)
 class RecMatrix(_ArrayWrapper):
     """Row-stochastic recommendation matrix with entries in [0, 1/N].
 
     Entry (i, j) is the probability the recommender shows content j after
     content i, scaled so that a full list of N items is drawn with the
     marginal inclusion probabilities N * y_ij.
+
+    ``RecMatrix(values, list_size)`` takes a dense K x K array;
+    `from_nonzeros` takes the nonzero entries. Either way the matrix keeps
+    only `nonzeros`: the row indices, column indices and values of its
+    nonzero entries, in row-major order and read-only, over which
+    `validate_rec_matrix` checks it at construction. `size` is K. The
+    dense array `values` (and so ``np.asarray``) is built from them on
+    first use, zeros elsewhere, read-only, and kept.
     """
 
-    values: np.ndarray
-    list_size: int
+    def __init__(self, values, list_size: int):
+        v = np.asarray(values, dtype=float)
+        if v.ndim == 2 and v.shape[0] == v.shape[1]:
+            self._store(_nonzeros(v), v.shape[0], list_size)
+        else:
+            self._store(None, 0, list_size)
 
-    def __post_init__(self):
-        if self.list_size < 1:
+    @classmethod
+    def from_nonzeros(cls, rows, cols, vals, size: int, list_size: int) -> "RecMatrix":
+        """The K x K matrix, K = `size`, with ``y[rows, cols] = vals`` and
+        zeros elsewhere. Entries must come in row-major order, without
+        repeats; exact zeros among `vals` are dropped."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
+        at = rows * size + cols
+        if (rows.shape != vals.shape or cols.shape != vals.shape
+                or np.any((rows < 0) | (rows >= size) | (cols < 0) | (cols >= size))
+                or np.any(at[1:] <= at[:-1])):
+            raise ValueError("nonzeros must be row-major (row, col) pairs inside the "
+                             "matrix, without repeats")
+        keep = vals != 0.0
+        y = cls.__new__(cls)
+        y._store((rows[keep], cols[keep], vals[keep]), int(size), list_size)
+        return y
+
+    def _store(self, nonzeros, size, list_size):
+        """Set the fields and validate; `nonzeros` None marks a non-square
+        input."""
+        if list_size < 1:
             raise ValueError("list size must be >= 1")
-        object.__setattr__(self, "values", _freeze(self.values))
-        bad = validate_rec_matrix(self, _REC_TOL)
+        d = vars(self)
+        d["list_size"], d["_size"] = list_size, size
+        if nonzeros is None:
+            bad = [Violation("shape", None, None, 0.0)]
+        else:
+            for a in nonzeros:
+                a.flags.writeable = False
+            d["nonzeros"] = tuple(nonzeros)
+            bad = validate_rec_matrix(self, _REC_TOL)
         if bad:
             head = "; ".join(str(b) for b in bad[:5])
             raise ValueError(
                 f"invalid recommendation matrix ({len(bad)} violations): {head}"
             )
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a RecMatrix")
+
+    @property
+    def size(self) -> int:
+        return self._size
+
     @cached_property
-    def nonzeros(self):
-        """Row indices, column indices and values of the nonzero entries,
-        in row-major order, read-only; taken once, by the validation at
-        construction."""
-        out = _nonzeros(self.values)
-        for a in out:
-            a.flags.writeable = False
-        return out
+    def values(self) -> np.ndarray:
+        """The dense K x K array, built from `nonzeros` on first use."""
+        rows, cols, vals = self.nonzeros
+        v = np.zeros((self.size, self.size))
+        v[rows, cols] = vals
+        v.flags.writeable = False
+        return v
 
 
 def _cache_index(cached, k: int) -> np.ndarray:
@@ -241,8 +293,7 @@ def _cache_index(cached, k: int) -> np.ndarray:
 
 def _nonzeros(y):
     """Row indices, column indices and values of a square matrix's nonzero
-    entries, in row-major order; a RecMatrix's are those it took at
-    construction."""
+    entries, in row-major order; a RecMatrix's are those it stores."""
     if isinstance(y, RecMatrix):
         return y.nonzeros
     v = np.asarray(y, dtype=float)
@@ -250,6 +301,11 @@ def _nonzeros(y):
     nz = np.flatnonzero(flat)
     rows, cols = np.divmod(nz, v.shape[0])
     return rows, cols, flat[nz]
+
+
+def _shape(y) -> tuple:
+    """The shape of a matrix; a RecMatrix's without its dense array."""
+    return (y.size, y.size) if isinstance(y, RecMatrix) else np.shape(y)
 
 
 @dataclass(frozen=True)
@@ -290,7 +346,7 @@ class RequestModel:
         return self.popularity.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryVector(_ArrayWrapper):
     """Long-run fraction of requests per content."""
 

@@ -161,9 +161,9 @@ def top_n_similarity(inputs: OptimInputs) -> RecMatrix:
     the quality-maximal matrix, so it is feasible whenever the inputs are.
     """
     k, n = inputs.size, inputs.model.list_size
-    y = np.zeros((k, k))
-    y[np.arange(k)[:, None], inputs._top_n] = 1.0 / n
-    return RecMatrix(y, n)
+    rows = np.repeat(np.arange(k), n)
+    cols = np.sort(inputs._top_n, axis=1).ravel()
+    return RecMatrix.from_nonzeros(rows, cols, np.full(k * n, 1.0 / n), k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +229,19 @@ def _solve_row_lps(x, u, n, q, rows):
     infeasibility check runs before any row walks: the error names the
     block's lowest failing row, and a row of that block that would have
     hit the walk cap logs no warning first.
+
+    Each row's solution is a blend of two selections: mass ``(1 - theta)
+    / N`` on the first's columns plus ``theta / N`` on the second's (theta
+    0 when one selection meets the floor). Returns the nonzeros of the
+    (len(rows), K) matrix of solutions, in row-major order, as row
+    positions in `rows`, columns and values.
     """
     k = x.size
     nrows = rows.size
     inv_n = 1.0 / n
-    y = np.zeros((nrows, k))
+    # per row: the first selection and its mass, then the second's
+    sel = np.empty((nrows, 2 * n), dtype=np.intp)
+    mass = np.zeros((nrows, 2))
     positive = u > 0.0
     first = np.lexsort((np.arange(k), x))[
         :min(k, n + 1 + int(positive.sum(axis=1).max(initial=0)))
@@ -243,7 +251,7 @@ def _solve_row_lps(x, u, n, q, rows):
     step = max(1, _BLOCK_ENTRIES // (first.size + int(extra.max(initial=0))))
     for b0 in range(0, nrows, step):
         b1 = min(b0 + step, nrows)
-        yb, qb, me = y[b0:b1], q[b0:b1], rows[b0:b1, None]
+        sb, mb, qb, me = sel[b0:b1], mass[b0:b1], q[b0:b1], rows[b0:b1, None]
         # the pool: the shared first columns, then the row's own related
         # ones, padded with the row itself, which is never chosen
         er, ec = np.divmod(np.flatnonzero(positive[b0:b1]), k)
@@ -261,16 +269,17 @@ def _solve_row_lps(x, u, n, q, rows):
         s_cost = head[np.arange(n) + np.cumsum(head == me, axis=1)[:, :n]]
         g_cost = np.take_along_axis(u[b0:b1], s_cost, axis=1).sum(axis=1) / n
         done = g_cost >= qb - 1e-12
-        yb[np.flatnonzero(done)[:, None], s_cost[done]] = inv_n
+        sb[:, :n] = sb[:, n:] = s_cost
+        mb[done, 0] = inv_n
         a = np.flatnonzero(~done)
         s_lo, g_lo, c_lo = _first_n(
             np.where(dead[a], np.inf, xp[a]), -up[a], cols[a], up[a], xp[a], n
         )
         met = g_lo >= qb[a]
         b = a[met]
-        theta = ((qb[b] - g_cost[b]) / (g_lo[met] - g_cost[b]))[:, None]
-        yb[b[:, None], s_cost[b]] = (1.0 - theta) * inv_n
-        yb[b[:, None], s_lo[met]] += theta * inv_n
+        theta = (qb[b] - g_cost[b]) / (g_lo[met] - g_cost[b])
+        sb[b, n:] = s_lo[met]
+        mb[b] = np.column_stack(((1.0 - theta) * inv_n, theta * inv_n))
         a, s_lo, g_lo, c_lo = a[~met], s_lo[~met], g_lo[~met], c_lo[~met]
         qa = qb[a]
         s_hi, g_hi, c_hi = _first_n(
@@ -306,10 +315,19 @@ def _solve_row_lps(x, u, n, q, rows):
                 "row %d: breakpoint walk stopped at its %d-step cap",
                 int(me[a[j], 0]), _ROW_WALK_STEPS,
             )
-        theta = np.minimum(1.0, (qa - g_lo) / (g_hi - g_lo))[:, None]
-        yb[a[:, None], s_lo] = (1.0 - theta) * inv_n
-        yb[a[:, None], s_hi] += theta * inv_n
-    return y
+        theta = np.minimum(1.0, (qa - g_lo) / (g_hi - g_lo))
+        sb[a, :n], sb[a, n:] = s_lo, s_hi
+        mb[a] = np.column_stack(((1.0 - theta) * inv_n, theta * inv_n))
+    # a column in both selections holds the first's mass plus the second's
+    order = np.argsort(sel, axis=1, kind="stable")
+    cols = np.take_along_axis(sel, order, axis=1)
+    vals = np.take_along_axis(np.repeat(mass, n, axis=1), order, axis=1)
+    twice = cols[:, 1:] == cols[:, :-1]
+    vals[:, :-1][twice] += vals[:, 1:][twice]
+    lead = np.ones(cols.shape, dtype=bool)
+    lead[:, 1:] = ~twice
+    at = np.flatnonzero(lead & (vals != 0.0))
+    return at // (2 * n), cols.ravel()[at], vals.ravel()[at]
 
 
 def myopic_solve(inputs: OptimInputs) -> RecMatrix:
@@ -327,11 +345,9 @@ def myopic_solve(inputs: OptimInputs) -> RecMatrix:
     """
     u = np.asarray(inputs.similarity, dtype=float)
     x = np.asarray(inputs.cost, dtype=float)
-    k = u.shape[0]
-    return RecMatrix(
-        _solve_row_lps(x, u, inputs.model.list_size, inputs.quality, np.arange(k)),
-        inputs.model.list_size,
-    )
+    k, n = u.shape[0], inputs.model.list_size
+    rows, cols, vals = _solve_row_lps(x, u, n, inputs.quality, np.arange(k))
+    return RecMatrix.from_nonzeros(rows, cols, vals, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -595,23 +611,30 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
 
     start = top_n_similarity(inputs) if y0 is None else y0
     _check_floors(start, inputs, "the recommendation step's start")
-    ym = np.asarray(start, dtype=float).copy()
+    k = pv.size
+    rows, cols, vals = _nonzeros(start)
     if a * a * rho > 0.0:
         s_star = (lv + rho * (pv - (1.0 - a) * p0)) / (a * rho)
-        rows, cols, vals = _nonzeros(start)
-        s = np.bincount(cols, weights=vals * pv[rows], minlength=pv.size)
+        s = np.bincount(cols, weights=vals * pv[rows], minlength=k)
+        # each row's nonzero columns and values, replaced when it is visited
+        at = np.searchsorted(rows, np.arange(k + 1)).tolist()
+        row_cols = [cols[lo:hi] for lo, hi in zip(at, at[1:])]
+        row_vals = [vals[lo:hi] for lo, hi in zip(at, at[1:])]
         eps_pv = 1e-12 * float(pv.max(initial=0.0))
         visit = [i for i in np.argsort(-pv) if pv[i] > eps_pv]
-        sigma = np.zeros(pv.size)
+        sigma = np.zeros(k)
         for _ in range(_Y_SWEEPS):
             s_start = s.copy()
             for i in visit:
                 p_i = pv[i]
+                y_i = np.zeros(k)
+                y_i[row_cols[i]] = row_vals[i]
                 row, sigma[i] = _quality_row_prox(
-                    (s_star - s) / p_i + ym[i], u[i], q[i], n, i, sigma[i]
+                    (s_star - s) / p_i + y_i, u[i], q[i], n, i, sigma[i]
                 )
-                s += p_i * (row - ym[i])
-                ym[i] = row
+                s += p_i * (row - y_i)
+                nz = row.nonzero()[0]
+                row_cols[i], row_vals[i] = nz, row[nz]
             moved = float(np.abs(s - s_start).max())
             if moved <= _Y_STOP:
                 break
@@ -619,7 +642,9 @@ def cars_y_step(pi, lam, rho: float, inputs: OptimInputs, y0=None) -> RecMatrix:
             _log.warning("recommendation step: block descent stopped after %d sweeps, "
                          "largest change of Y^T pi in the last sweep %.3e > %.1e",
                          _Y_SWEEPS, moved, _Y_STOP)
-    return RecMatrix(ym, n)
+        rows = np.repeat(np.arange(k), [c.size for c in row_cols])
+        cols, vals = np.concatenate(row_cols), np.concatenate(row_vals)
+    return RecMatrix.from_nonzeros(rows, cols, vals, k, n)
 
 
 # Fixed constants of the alternating solver: the penalty weight, the

@@ -14,6 +14,8 @@ from cacherec import (
     Violation,
     validate_rec_matrix,
 )
+from cacherec import model
+from cacherec.model import _REC_TOL
 
 
 class TestSimilarityMatrix:
@@ -225,6 +227,92 @@ class TestRecMatrix:
                 a[0] = 0
 
 
+def _nonzeros_of(v):
+    """Row indices, column indices and values of `v`'s nonzeros, row-major."""
+    flat = v.ravel()
+    nz = np.flatnonzero(flat)
+    return nz // v.shape[0], nz % v.shape[0], flat[nz]
+
+
+def _inject(v, fault, n, rng):
+    """Put one `fault` into the polytope matrix `v`, well past any tolerance."""
+    k = v.shape[0]
+    i, j = (int(t) for t in rng.integers(k, size=2))
+    if fault in ("nan", "inf", "-inf"):
+        v[i, j] = float(fault)
+    elif fault == "negative":
+        v[i, j] = -0.1
+    elif fault == "diagonal":
+        v[i, i] = 0.5 / n
+    elif fault == "over_cap":
+        v[i, j] = 1.0 / n + 0.1
+    else:
+        v[i] *= 1.3
+
+
+class TestRecMatrixFromNonzeros:
+    feasible = staticmethod(TestValidateRecMatrixFastPath._feasible)
+
+    def test_agrees_with_dense_construction(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            k = int(rng.integers(3, 14))
+            n = int(rng.integers(1, k))
+            v = self.feasible(rng, k, n)
+            if trial % 2:
+                v = 0.3 * v + 0.7 * self.feasible(rng, k, n)
+            want = _nonzeros_of(v)
+            for y in (RecMatrix(v, n), RecMatrix.from_nonzeros(*want, k, n)):
+                dense = np.asarray(y)
+                assert dense.tobytes() == v.tobytes() and not dense.flags.writeable
+                for got, ref in zip(y.nonzeros, want):
+                    assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+                assert (y.size, y.list_size) == (k, n)
+                assert validate_rec_matrix(y, 1e-12) == []
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "negative", "diagonal",
+                                       "over_cap", "row_sum"])
+    def test_faults_are_found_alike(self, fault, monkeypatch):
+        # each construction validates once; the spy keeps what it found
+        found = []
+        real = model.validate_rec_matrix
+        monkeypatch.setattr(model, "validate_rec_matrix",
+                            lambda y, tol: found.append(real(y, tol)) or found[-1])
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            k = int(rng.integers(3, 14))
+            n = int(rng.integers(1, k))
+            v = self.feasible(rng, k, n)
+            for _ in range(int(rng.integers(1, 4))):
+                _inject(v, fault, n, rng)
+            for make in (lambda: RecMatrix(v, n),
+                         lambda: RecMatrix.from_nonzeros(*_nonzeros_of(v), k, n)):
+                with pytest.raises(ValueError, match="invalid recommendation matrix"):
+                    make()
+            want = real(v, _REC_TOL, n)
+            assert want
+            for got in found[-2:]:
+                assert [(b.kind, b.row, b.col) for b in got] == [
+                    (b.kind, b.row, b.col) for b in want]
+                assert [b.magnitude for b in got] == pytest.approx(
+                    [b.magnitude for b in want], rel=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 1, 1, 2], [1, 2, 0, 0]),
+        ([0, 1, 1, 2], [1, 0, 0, 1]),
+        ([0, 1, 3], [1, 0, 0]),
+        ([0, 1, 2], [1, 0, -1]),
+    ], ids=["unordered", "repeated", "row-outside", "col-outside"])
+    def test_malformed_nonzeros_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="row-major"):
+            RecMatrix.from_nonzeros(rows, cols, np.full(len(rows), 0.5), 3, 2)
+
+    def test_exact_zeros_are_dropped(self):
+        y = RecMatrix.from_nonzeros([0, 0, 1, 2], [1, 2, 0, 0], [1.0, 0.0, 1.0, 1.0], 3, 1)
+        assert_array_equal(y.nonzeros[1], [1, 0, 0])
+        assert_array_equal(np.asarray(y), [[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+
+
 class TestRequestModel:
     def test_valid(self):
         m = RequestModel([0.3, 0.7], 0.5, 1)
@@ -307,3 +395,8 @@ class TestArrayProtocol:
         assert np.array(w, copy=False) is w.values
         assert not np.asarray(w).flags.writeable
         assert w.size == w.values.shape[0]
+
+    def test_compares_and_hashes_by_identity(self, make):
+        w, twin = make(), make()
+        assert w == w and w != twin
+        assert len({w, twin, w}) == 2

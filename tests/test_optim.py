@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -256,6 +257,40 @@ class TestMyopicTieRule:
         assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
 
+def fractional_instance():
+    """Continuous similarities on about 30 % of the pairs: rows with three
+    or more levels, whose floor multiplier the recommendation step
+    searches by Newton steps."""
+    rng = np.random.default_rng(3)
+    k = 50
+    u = np.triu(rng.random((k, k)) * (rng.random((k, k)) < 0.3), 1)
+    x = np.ones(k)
+    x[:5] = 0.0
+    return OptimInputs(u + u.T, RequestModel(zipf_popularity(k, 0.8), 0.8, 3), x, 0.4)
+
+
+class TestCarsDigest:
+    """Six CARS iterations from the myopic start, each of which lowers the
+    cost, so `best_y` is the last iterate; the digests were recorded with
+    the dense recommendation step and pin its arithmetic."""
+
+    @pytest.mark.parametrize("make, digest, cost", [
+        (lambda: anchored_instance(60, 4, 0.5, 6, seed=5),
+         "a02bf90eb4b709b039c9ae763a743d9ded9d3cd75cbe3a32ca06a0b8fb1c389d",
+         "0.36615512975439474"),
+        (fractional_instance,
+         "c70fdc9acda74ff9f5bbcfb9fa8e7cbafbad1e26fd30fe57c59165b957e2a507",
+         "0.2659101259143781"),
+    ], ids=["binary-anchored", "fractional"])
+    def test_output_digest_pinned(self, make, digest, cost):
+        inp = make()
+        res = cars_solve(inp, CarsConfig(y0=myopic_solve(inp), max_iter=6))
+        assert res.best_index == 6
+        y = np.ascontiguousarray(np.asarray(res.best_y), dtype=float)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
+        assert repr(res.best_cost) == cost
+
+
 def similarities(rng, kind, shape):
     """Similarities of one of `ROW_KINDS`."""
     if kind == "continuous":
@@ -296,8 +331,11 @@ ROW_KINDS = ["continuous", "binary", "three-level", "two-decimal"]
 
 
 def solve_row(x, u, n, i, q):
-    """One row LP through the batched kernel."""
-    return optim._solve_row_lps(x, u[None, :], n, np.array([q]), np.array([i]))[0]
+    """One row LP through the batched kernel, as a dense row."""
+    _, cols, vals = optim._solve_row_lps(x, u[None, :], n, np.array([q]), np.array([i]))
+    y = np.zeros(x.size)
+    y[cols] = vals
+    return y
 
 
 def _row_greedy(x, u, n, self_idx, t, prefer_high_quality):
@@ -1429,3 +1467,22 @@ class TestCarsSolve:
         assert np.all(quality_of(y0, u) >= 0.5)
         with pytest.raises(ValueError, match="warm start has list size 2, the model 4"):
             cars_solve(inp, CarsConfig(y0=RecMatrix(y0, 2)))
+
+    def test_no_k_by_k_array_in_an_iteration(self):
+        # Y has about 2N nonzeros per row; every step of an iteration
+        # reads only those, so nothing near K^2 doubles is allocated
+        k = 1000
+        u = anchored_similarity(k, 12.0, 5, seed=11)
+        x = np.ones(k)
+        x[:50] = 0.0
+        inp = OptimInputs(u, RequestModel(zipf_popularity(k, 0.6), 0.8, 4), x, 0.8)
+        cfg = CarsConfig(y0=myopic_solve(inp), max_iter=2, multiplier_step=1.0,
+                         subproblem_max_iter=50)
+        tracemalloc.start()
+        try:
+            res = cars_solve(inp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 2 and res.message == ""
+        assert peak < k * k * 8 / 4
